@@ -27,6 +27,7 @@ zeta = eta exactly for 0 < |eta| < pi/4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -166,8 +167,13 @@ def _sign(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
+@functools.cache
 def sign_cosine_model() -> HiddenVariableModel:
-    """eps(phi, lam) = sgn(cos(phi - lam)), uniform hidden direction."""
+    """eps(phi, lam) = sgn(cos(phi - lam)), uniform hidden direction.
+
+    Built and validated once per process; later calls return the same
+    (immutable) model.
+    """
     return HiddenVariableModel(
         epsilon=lambda phi, lam: _sign(np.cos(phi - lam)),
         density=lambda lam: np.full(np.shape(lam), 1.0 / TWO_PI),
@@ -175,8 +181,12 @@ def sign_cosine_model() -> HiddenVariableModel:
     )
 
 
+@functools.cache
 def sign_projection_model() -> HiddenVariableModel:
-    """eps = sgn(u(phi/2) . u(lam)): the observable's +1 eigendirection projected on lam."""
+    """eps = sgn(u(phi/2) . u(lam)): the observable's +1 eigendirection projected on lam.
+
+    Built and validated once per process, like :func:`sign_cosine_model`.
+    """
     return HiddenVariableModel(
         epsilon=lambda phi, lam: _sign(np.cos(phi / 2.0 - lam)),
         density=lambda lam: np.full(np.shape(lam), 1.0 / TWO_PI),

@@ -9,6 +9,7 @@ always radians.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,12 +21,13 @@ import numpy as np
 from .bell import BUILTIN_MODELS, quantum_correlation, baby_bell_check, singlet_correlation, violation_scan
 from .isomorphisms import bell_basis_matrix, cat, coherent_to_tensor, flip, DOWN, UP
 from .measurement import PARALLEL, outcome_probability, sample_outcomes
-from .quantization import fourier_coefficients, fourier_series_from_json, identity_residual, quantize
+from .quantization import MIN_SAMPLES, fourier_coefficients, fourier_series_from_json, identity_residual, quantize
 from .states import DensityParams
 
 
 class _InputError(Exception):
-    """Malformed user input (bad JSON, unreadable file): exit code 2."""
+    """Malformed user input or unusable files (bad JSON, unreadable input,
+    unwritable output): exit code 2."""
 
 
 def _fmt(x) -> str:
@@ -37,15 +39,19 @@ def _fmt(x) -> str:
 
 
 def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise _InputError(f"cannot write {output or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(obj, output: Optional[str]) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", output)
+    _emit(json.dumps(obj, indent=2, allow_nan=False) + "\n", output)
 
 
 def _emit_csv(header: list[str], rows: list[list], output: Optional[str], trailer: str = "") -> None:
@@ -61,8 +67,13 @@ def _angle(value: float, args) -> float:
 
 
 def _validate_common(args) -> None:
-    if args.samples < 8:
-        raise ValueError(f"--samples must be at least 8, got {args.samples}")
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite")
+    if args.samples < MIN_SAMPLES:
+        raise ValueError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.tolerance <= 0.0:
         raise ValueError(f"--tolerance must be positive, got {args.tolerance}")
 
@@ -85,7 +96,7 @@ def _cmd_quantize(args) -> int:
             raise _InputError(f"cannot read Fourier series file: {exc}") from exc
     try:
         series = fourier_series_from_json(text)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, ValueError, TypeError, OverflowError) as exc:
         raise _InputError(f"malformed Fourier series: {exc}") from exc
 
     data = fourier_coefficients(series)
@@ -147,8 +158,10 @@ def _cmd_malus(args) -> int:
 def _cmd_bell_scan(args) -> int:
     if args.zeta_steps < 1 or args.eta_steps < 1:
         raise ValueError("--zeta-steps and --eta-steps must be at least 1")
-    zeta_lo, zeta_hi = _angle(args.zeta_min, args), _angle(args.zeta_max, args)
-    eta_lo, eta_hi = _angle(args.eta_min, args), _angle(args.eta_max, args)
+    zeta_lo, eta_lo = _angle(args.zeta_min, args), _angle(args.eta_min, args)
+    # the upper defaults are pi/2 radians, whatever unit --degrees selects
+    zeta_hi = math.pi / 2.0 if args.zeta_max is None else _angle(args.zeta_max, args)
+    eta_hi = math.pi / 2.0 if args.eta_max is None else _angle(args.eta_max, args)
     zetas = np.linspace(zeta_lo, zeta_hi, args.zeta_steps)
     etas = np.linspace(eta_lo, eta_hi, args.eta_steps)
     points = violation_scan(zetas, etas)
@@ -256,7 +269,13 @@ def _cmd_iso_demo(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The full argument tree, built on the first :func:`main` call and reused.
+
+    Parsing never mutates the parser, so repeated ``main`` calls in one
+    process share it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--samples", type=int, default=1024, help="quadrature nodes (default 1024)")
     common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -293,9 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta-steps", type=int, required=True)
     p.add_argument("--eta-steps", type=int, required=True)
     p.add_argument("--zeta-min", type=float, default=0.0)
-    p.add_argument("--zeta-max", type=float, default=math.pi / 2.0)
+    p.add_argument("--zeta-max", type=float, default=None)
     p.add_argument("--eta-min", type=float, default=0.0)
-    p.add_argument("--eta-max", type=float, default=math.pi / 2.0)
+    p.add_argument("--eta-max", type=float, default=None)
     p.set_defaults(handler=_cmd_bell_scan)
 
     p = sub.add_parser("correlate", parents=[common], help="quantum or hidden-variable pair correlations")

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from planeqm.bell import (
+    BUILTIN_MODELS,
     BellKind,
     HiddenVariableModel,
     baby_bell_check,
@@ -159,6 +160,21 @@ def test_model_registration_validation():
             epsilon=lambda phi, lam: np.ones_like(lam),
             density=lambda lam: np.ones_like(lam),
             domain=(1.0, 1.0),
+        )
+
+
+@pytest.mark.parametrize("factory", [sign_cosine_model, sign_projection_model])
+def test_builtin_models_are_built_once(factory):
+    assert factory() is factory()
+    assert BUILTIN_MODELS[factory().name]() is factory()
+
+
+def test_invalid_custom_model_still_raises_after_builtins_are_cached():
+    with pytest.raises(ValueError, match="integrates"):
+        HiddenVariableModel(
+            epsilon=sign_cosine_model().epsilon,
+            density=lambda lam: np.full(np.shape(lam), 1.0 / math.pi),
+            name="sign-cos",
         )
 
 

@@ -1,10 +1,13 @@
+import errno
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from planeqm import cli
 from planeqm.cli import main
 
 SQ2 = math.sqrt(2.0)
@@ -66,6 +69,29 @@ def test_quantize_out_of_range_mixing_exits_3(capsys):
     assert "degree of mixing" in err
 
 
+@pytest.mark.parametrize(
+    "series,reason",
+    [
+        ('{"a0": 1e400}', "Fourier coefficients must be finite"),
+        ('{"terms": [{"k": 1e400}]}', "cannot convert float infinity to integer"),
+    ],
+)
+def test_quantize_rejects_non_finite_series(capsys, series, reason):
+    code, out, err = run(capsys, "quantize", series, "--r", "0.5", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed Fourier series: {reason}\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_quantize_overflowing_result_is_never_emitted_as_json(capsys):
+    series = '{"a0": 1.7e308, "terms": [{"k": 2, "ak": 1.7e308}]}'
+    code, out, err = run(capsys, "quantize", series, "--r", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_quantize_degrees_flag(capsys):
     series = '{"a0": 0, "terms": [{"k": 2, "ak": 1}]}'
     code, out, _ = run(capsys, "quantize", series, "--r", "1", "--phi0", "45", "--degrees")
@@ -102,6 +128,34 @@ def test_identity_check_rejects_bad_samples(capsys):
     code, _, err = run(capsys, "identity-check", "--r", "0.5", "--samples", "4")
     assert code == 3
     assert "--samples" in err
+
+
+# ---------------------------------------------------------------------------
+# number boundary
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["malus", "--r0", "1", "--steps", "3", "--phi0", "nan"], "--phi0"),
+        (["correlate", "--phi-a", "inf", "--phi-b", "0"], "--phi-a"),
+        (["identity-check", "--r", "0.5", "--tolerance", "nan"], "--tolerance"),
+        (["bell-scan", "--zeta-steps", "2", "--eta-steps", "2", "--eta-max=-inf"], "--eta-max"),
+        (["coherent", "--theta", "1e400", "--phi", "0"], "--theta"),
+    ],
+)
+def test_non_finite_arguments_exit_3(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {name} must be finite\n"
+
+
+def test_negative_seed_exits_3(capsys):
+    code, out, err = run(capsys, "malus", "--r0", "1", "--steps", "3", "--mc-n", "10", "--seed", "-1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: --seed must be non-negative, got -1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +244,19 @@ def test_bell_scan_restricted_region_is_empty(capsys):
     )
     assert code == 0
     assert "violated_fraction=0.0 " in out.strip().split("\n")[-1]
+
+
+def test_bell_scan_degrees_keeps_right_angle_defaults(capsys):
+    code, out, _ = run(capsys, "bell-scan", "--degrees", "--zeta-steps", "2", "--eta-steps", "2")
+    assert code == 0
+    last_row = out.strip().split("\n")[-2].split(",")
+    assert (float(last_row[0]), float(last_row[1])) == (math.pi / 2, math.pi / 2)
+    code, out, _ = run(
+        capsys, "bell-scan", "--degrees", "--zeta-steps", "2", "--eta-steps", "2", "--zeta-max", "45"
+    )
+    assert code == 0
+    last_row = out.strip().split("\n")[-2].split(",")
+    assert (float(last_row[0]), float(last_row[1])) == (math.pi / 4, math.pi / 2)
 
 
 def test_bell_scan_json_format(capsys):
@@ -317,3 +384,58 @@ def test_repeated_invocations_are_byte_identical(capsys):
     _, first, _ = run(capsys, "malus", "--r0", "0.7", "--steps", "7", "--mc-n", "1000")
     _, second, _ = run(capsys, "malus", "--r0", "0.7", "--steps", "7", "--mc-n", "1000")
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# I/O failures
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "coherent", "--theta", "0.1", "--phi", "0.2", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.exists()
+
+
+def test_failing_stdout_exits_2(capsys, monkeypatch):
+    class FullStream:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    code = main(["iso-demo"])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+# ---------------------------------------------------------------------------
+# repeated in-process calls
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_interleaved_requests_match_isolated_runs(capsys):
+    requests = [
+        ["coherent", "--theta", "45", "--phi", "30", "--degrees"],
+        ["coherent", "--theta", "1.2", "--phi", "0.5"],
+        ["identity-check", "--r", "0.7", "--phi0", "1.3", "--format", "csv"],
+        ["quantize", '{"a0": ', "--r", "0.5"],
+        ["identity-check", "--r", "0.7", "--phi0", "1.3"],
+        ["correlate", "--model", "sign-cos", "--phi-a", "0", "--phi-b", "60", "--phi-c", "120", "--degrees"],
+        ["quantize", '{"a0": 1}', "--r", "1.5"],
+        ["correlate", "--model", "sign-cos", "--phi-a", "0", "--phi-b", "1.1", "--format", "csv"],
+        ["bell-scan", "--zeta-steps", "4", "--eta-steps", "3", "--degrees", "--zeta-max", "60"],
+        ["bell-scan", "--zeta-steps", "4", "--eta-steps", "3"],
+        ["malus", "--r0", "0.8", "--steps", "4", "--mc-n", "50", "--seed", "3", "--format", "json"],
+        ["malus", "--r0", "0.8", "--steps", "4", "--mc-n", "50"],
+    ]
+    interleaved = [run(capsys, *argv) for argv in requests]
+    assert [code for code, _, _ in interleaved] == [0, 0, 0, 2, 0, 0, 3, 0, 0, 0, 0, 0]
+    for argv, result in zip(requests, interleaved):
+        cli._build_parser.cache_clear()
+        assert run(capsys, *argv) == result, argv

@@ -34,6 +34,14 @@ def random_series(rng, max_k=8):
 # Fourier series plumbing
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_series_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        FourierSeries(bad)
+    with pytest.raises(ValueError, match="finite"):
+        FourierSeries.harmonic(2, ak=1.0, bk=bad)
+
+
 def test_series_rejects_bad_harmonics():
     with pytest.raises(ValueError, match="distinct"):
         FourierSeries(0.0, ((2, 1.0, 0.0), (2, 0.0, 1.0)))
@@ -183,6 +191,33 @@ def test_identity_residual_examples():
     assert identity_residual(0.0, 0.0, 16) <= 1e-15
     assert identity_residual(1.0, 0.3, 64) < 1e-12
     assert identity_residual(0.5, 2.0, 1024) < 1e-12
+
+
+def node_sum_residual(r, phi0, n):
+    # reference: one density matrix per quadrature node, summed in order
+    acc = np.zeros((2, 2))
+    for p in np.arange(n) * (TWO_PI / n):
+        acc += density_matrix(DensityParams(r, phi0 + p))
+    return float(np.abs(acc * (2.0 / n) - np.eye(2)).max())
+
+
+@pytest.mark.parametrize("n", [8, 9, 1024])
+@pytest.mark.parametrize("r,phi0", [(0.0, 0.0), (0.7, 1.3), (1.0, -2.4), (0.35, 7.9)])
+def test_identity_residual_matches_node_sum(r, phi0, n):
+    residual = identity_residual(r, phi0, n)
+    assert abs(residual - node_sum_residual(r, phi0, n)) <= 1e-15
+    assert residual <= 1e-15
+
+
+def test_identity_residual_builds_no_per_node_matrices(monkeypatch):
+    import planeqm.quantization as quantization
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("identity_residual must not build per-node densities")
+
+    monkeypatch.setattr(quantization, "density_matrix", forbidden)
+    monkeypatch.setattr(quantization, "DensityParams", forbidden)
+    assert identity_residual(0.6, 0.2, 4096) < 1e-12
 
 
 def test_identity_residual_rejects_bad_mixing():
