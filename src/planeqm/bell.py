@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -282,10 +284,16 @@ def baby_bell_check(p_ab: float, p_ac: float, p_bc: float) -> InequalityReport:
     return _report(abs(p_ab - p_ac), 1.0 + p_bc)
 
 
+def _sin_bound(zeta, eta):
+    """(lhs, rhs) of the reduced-angle bound, broadcasting over numpy arrays."""
+    s_zeta, s_sum, s_eta = np.sin(zeta), np.sin(eta + zeta), np.sin(eta)
+    return np.abs(s_zeta * s_zeta - s_sum * s_sum), s_eta * s_eta
+
+
 def sin_inequality(zeta: float, eta: float) -> InequalityReport:
     """The same bound in reduced angles: |sin^2(zeta) - sin^2(eta+zeta)| <= sin^2(eta)."""
-    lhs = abs(math.sin(zeta) ** 2 - math.sin(eta + zeta) ** 2)
-    return _report(lhs, math.sin(eta) ** 2)
+    lhs, rhs = _sin_bound(float(zeta), float(eta))
+    return _report(float(lhs), float(rhs))
 
 
 @dataclass(frozen=True)
@@ -295,15 +303,56 @@ class ScanPoint:
     report: InequalityReport
 
 
-def violation_scan(zeta_grid, eta_grid) -> list[ScanPoint]:
-    """Evaluate :func:`sin_inequality` over the Cartesian grid, zeta-major.
+@dataclass(frozen=True, eq=False)
+class ScanGrid(Sequence):
+    """The bound evaluated over a zeta x eta grid, as read-only arrays.
+
+    ``lhs``, ``violated`` and ``margin`` have shape (len(zetas), len(etas));
+    ``rhs`` depends on eta alone and has shape (len(etas),).  As a sequence
+    the grid yields one :class:`ScanPoint` per grid point, zeta-major, with
+    Python floats and bools, equal to :func:`sin_inequality` at that point.
+    """
+
+    zetas: np.ndarray
+    etas: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    violated: np.ndarray
+    margin: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lhs.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        flat = operator.index(index)
+        if flat < 0:
+            flat += len(self)
+        if not 0 <= flat < len(self):
+            raise IndexError(f"scan point index {index} out of range for {len(self)} points")
+        i, j = divmod(flat, self.etas.size)
+        report = InequalityReport(
+            float(self.lhs[i, j]), float(self.rhs[j]), bool(self.violated[i, j]), float(self.margin[i, j])
+        )
+        return ScanPoint(float(self.zetas[i]), float(self.etas[j]), report)
+
+
+def violation_scan(zeta_grid, eta_grid) -> ScanGrid:
+    """Evaluate :func:`sin_inequality` over the Cartesian grid in one array pass.
 
     On the diagonal zeta = eta the violated set is exactly the open
     interval 0 < eta < pi/4 (boundary points report margin 0, not
     violated).
     """
-    zetas = [float(z) for z in zeta_grid]
-    etas = [float(e) for e in eta_grid]
-    if not zetas or not etas:
+    zetas = np.array(zeta_grid, dtype=float)
+    etas = np.array(eta_grid, dtype=float)
+    if zetas.ndim != 1 or etas.ndim != 1:
+        raise ValueError("scan grids must be one-dimensional")
+    if not zetas.size or not etas.size:
         raise ValueError("scan grids must be nonempty")
-    return [ScanPoint(z, e, sin_inequality(z, e)) for z in zetas for e in etas]
+    lhs, rhs = _sin_bound(zetas[:, None], etas)
+    grid = ScanGrid(zetas, etas, lhs, rhs, lhs > rhs + VIOLATION_TOL, rhs - lhs)
+    for array in (zetas, etas, lhs, rhs, grid.violated, grid.margin):
+        array.flags.writeable = False
+    return grid

@@ -55,11 +55,16 @@ def _emit_json(obj, output: Optional[str]) -> None:
 
 
 def _emit_csv(header: list[str], rows: list[list], output: Optional[str], trailer: str = "") -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _emit_csv_lines(header, [",".join(map(_fmt, row)) for row in rows], output, trailer)
+
+
+def _emit_csv_lines(header: list[str], lines, output: Optional[str], trailer: str = "") -> None:
+    """Write already formatted CSV data lines between the header and the trailer."""
+    parts = [",".join(header), *lines]
     if trailer:
-        lines.append(trailer)
-    _emit("\n".join(lines) + "\n", output)
+        parts.append(trailer)
+    parts.append("")  # the final newline, without copying the joined text
+    _emit("\n".join(parts), output)
 
 
 def _angle(value: float, args) -> float:
@@ -164,44 +169,47 @@ def _cmd_bell_scan(args) -> int:
     eta_hi = math.pi / 2.0 if args.eta_max is None else _angle(args.eta_max, args)
     zetas = np.linspace(zeta_lo, zeta_hi, args.zeta_steps)
     etas = np.linspace(eta_lo, eta_hi, args.eta_steps)
-    points = violation_scan(zetas, etas)
+    grid = violation_scan(zetas, etas)
 
-    n_violated = sum(p.report.violated for p in points)
-    fraction = n_violated / len(points)
-    diag_violated = [p.eta for p in points if p.zeta == p.eta and p.report.violated]
-    if diag_violated:
-        interval = (min(diag_violated), max(diag_violated))
+    fraction = int(np.count_nonzero(grid.violated)) / len(grid)
+    diag_violated = grid.etas[np.nonzero(grid.violated & (grid.zetas[:, None] == grid.etas))[1]]
+    if diag_violated.size:
+        interval = (float(diag_violated.min()), float(diag_violated.max()))
         interval_text = f"[{_fmt(interval[0])},{_fmt(interval[1])}]"
     else:
         interval = None
         interval_text = "none"
     trailer = f"# violated_fraction={_fmt(fraction)} diagonal_violation_interval={interval_text}"
 
-    if args.format == "json":
+    # Columns, not cells: zeta, eta and rhs are formatted once per axis value
+    # and repeated; only lhs, violated and margin vary per point.
+    header = ["zeta", "eta", "lhs", "rhs", "violated", "margin"]
+    as_csv = args.format != "json"
+
+    def column(values: list):
+        return map(repr, values) if as_csv else values
+
+    zs, es, rs = (list(column(axis.tolist())) for axis in (grid.zetas, grid.etas, grid.rhs))
+    flags = np.where(grid.violated, "true", "false") if as_csv else grid.violated
+    columns = (
+        [z for z in zs for _ in es],
+        es * len(zs),
+        column(grid.lhs.ravel().tolist()),
+        rs * len(zs),
+        flags.ravel().tolist(),
+        column(grid.margin.ravel().tolist()),
+    )
+    if as_csv:
+        _emit_csv_lines(header, map(",".join, zip(*columns)), args.output, trailer)
+    else:
         _emit_json(
             {
-                "points": [
-                    {
-                        "zeta": p.zeta,
-                        "eta": p.eta,
-                        "lhs": p.report.lhs,
-                        "rhs": p.report.rhs,
-                        "violated": p.report.violated,
-                        "margin": p.report.margin,
-                    }
-                    for p in points
-                ],
+                "points": [dict(zip(header, values)) for values in zip(*columns)],
                 "violated_fraction": fraction,
                 "diagonal_violation_interval": list(interval) if interval else None,
             },
             args.output,
         )
-    else:
-        rows = [
-            [p.zeta, p.eta, p.report.lhs, p.report.rhs, p.report.violated, p.report.margin]
-            for p in points
-        ]
-        _emit_csv(["zeta", "eta", "lhs", "rhs", "violated", "margin"], rows, args.output, trailer)
     return 0
 
 

@@ -55,7 +55,7 @@ class FourierSeries:
 
     def __post_init__(self) -> None:
         cleaned = tuple(
-            (int(k), float(ak), float(bk)) for k, ak, bk in self.terms
+            (_harmonic_index(k), float(ak), float(bk)) for k, ak, bk in self.terms
         )
         a0 = float(self.a0)
         finite = math.isfinite(a0) and all(
@@ -100,6 +100,14 @@ class FourierSeries:
             c, s = math.cos(k * delta), math.sin(k * delta)
             shifted_terms.append((k, ak * c - bk * s, ak * s + bk * c))
         return FourierSeries(self.a0, tuple(shifted_terms))
+
+
+def _harmonic_index(k) -> int:
+    """k as an int; integral floats such as 2.0 pass, 2.7 and booleans do not."""
+    index = int(k)
+    if isinstance(k, bool) or index != k:
+        raise ValueError(f"harmonic indices k must be integers, got {k!r}")
+    return index
 
 
 #: A function on [0, 2*pi): a finite Fourier series, or a callable sampled
@@ -207,7 +215,11 @@ def quantize(
     """
     _check_mixing(r)
     data = fourier_coefficients(f, n_samples).rotated(2.0 * phi0)
-    return data.mean * np.eye(2) + 0.5 * r * (data.cc * SIGMA3 + data.cs * SIGMA1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = data.mean * np.eye(2) + 0.5 * r * (data.cc * SIGMA3 + data.cs * SIGMA1)
+    if not np.isfinite(matrix).all():
+        raise ValueError("quantized matrix is not finite")
+    return matrix
 
 
 def identity_residual(r: float, phi0: float, n_samples: int = DEFAULT_SAMPLES) -> float:
@@ -303,21 +315,14 @@ class BorelSet:
         return sum(b - a for a, b in self.intervals)
 
 
-def povm_element(
-    delta: BorelSet,
-    r: float,
-    phi0: float,
-    n_samples: int = DEFAULT_SAMPLES,
-) -> np.ndarray:
+def povm_element(delta: BorelSet, r: float, phi0: float) -> np.ndarray:
     """POVM value F(delta) = integral over delta of rho(r, phi + phi0) d(phi)/pi.
 
     Positive semidefinite, additive over disjoint sets, and equal to the
     identity on the full circle.  Each interval is integrated from the
     exact antiderivative of the density entries, so additivity is
-    bit-stable; ``n_samples`` is accepted for interface symmetry with the
-    quadrature-based operations but not used.
+    bit-stable.
     """
-    del n_samples
     _check_mixing(r)
     out = np.zeros((2, 2))
     for a, b in delta.intervals:

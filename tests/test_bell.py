@@ -1,14 +1,16 @@
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from planeqm.bell import (
     BUILTIN_MODELS,
     BellKind,
     HiddenVariableModel,
+    ScanGrid,
     baby_bell_check,
     bell_state,
     classical_correlation,
@@ -310,3 +312,52 @@ def test_violation_scan_empty_high_angle_region():
 def test_violation_scan_rejects_empty_grids():
     with pytest.raises(ValueError, match="nonempty"):
         violation_scan([], [0.1])
+
+
+def test_violation_scan_rejects_nested_grids():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        violation_scan([[0.1, 0.2]], [0.1])
+
+
+grid_axes = st.lists(angles, min_size=1, max_size=9)
+
+
+@given(grid_axes, grid_axes)
+def test_violation_scan_matches_pointwise_bound(zetas, etas):
+    assume(len(zetas) != len(etas))
+    grid = violation_scan(zetas, etas)
+    assert len(grid) == len(zetas) * len(etas)
+    for k, point in enumerate(grid):
+        zeta, eta = zetas[k // len(etas)], etas[k % len(etas)]
+        assert (point.zeta, point.eta) == (zeta, eta)
+        report = sin_inequality(zeta, eta)
+        assert point.report == report
+        # independent of the shared kernel: the bound straight from math.sin
+        expected = abs(math.sin(zeta) ** 2 - math.sin(eta + zeta) ** 2)
+        assert report.lhs == pytest.approx(expected, abs=8 * np.finfo(float).eps)
+        assert report.rhs == pytest.approx(math.sin(eta) ** 2, abs=8 * np.finfo(float).eps)
+
+
+def test_scan_grid_sequence_semantics():
+    zetas, etas = [0.1, 0.2, 0.3], [0.4, 0.5]
+    grid = violation_scan(zetas, etas)
+    assert isinstance(grid, ScanGrid)
+    assert isinstance(grid, Sequence)
+    assert (grid.lhs.shape, grid.rhs.shape) == ((3, 2), (2,))
+    assert grid.violated.shape == grid.margin.shape == (3, 2)
+    assert len(grid) == 6
+    assert [(p.zeta, p.eta) for p in grid] == [(z, e) for z in zetas for e in etas]
+    assert grid[-1] == grid[5]
+    assert grid[-6] == grid[0]
+    assert grid[1:3] == [grid[1], grid[2]]
+    for index in (6, -7):
+        with pytest.raises(IndexError):
+            grid[index]
+    point = grid[3]
+    assert (type(point.zeta), type(point.eta)) == (float, float)
+    report = point.report
+    assert [type(v) for v in (report.lhs, report.rhs, report.violated, report.margin)] == [
+        float, float, bool, float
+    ]
+    with pytest.raises(ValueError, match="read-only"):
+        grid.lhs[0, 0] = 0.0

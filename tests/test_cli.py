@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from planeqm import cli
+from planeqm.bell import sin_inequality
 from planeqm.cli import main
 
 SQ2 = math.sqrt(2.0)
@@ -83,13 +84,25 @@ def test_quantize_rejects_non_finite_series(capsys, series, reason):
     assert err == f"error: malformed Fourier series: {reason}\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_quantize_overflowing_result_is_never_emitted_as_json(capsys):
     series = '{"a0": 1.7e308, "terms": [{"k": 2, "ak": 1.7e308}]}'
     code, out, err = run(capsys, "quantize", series, "--r", "1")
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_quantize_overflowing_result_exits_3_in_csv(capsys):
+    series = '{"a0": 1.7e308, "terms": [{"k": 2, "ak": 1.7e308}]}'
+    code, out, err = run(capsys, "quantize", series, "--r", "1", "--format", "csv")
+    assert (code, out) == (3, "")
+    assert err == "error: quantized matrix is not finite\n"
+
+
+def test_quantize_non_integer_harmonic_exits_2(capsys):
+    code, out, err = run(capsys, "quantize", '{"terms": [{"k": 2.7, "ak": 1}]}', "--r", "1", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: malformed Fourier series: harmonic indices k must be integers, got 2.7\n"
 
 
 def test_quantize_degrees_flag(capsys):
@@ -267,6 +280,45 @@ def test_bell_scan_json_format(capsys):
     payload = json.loads(out)
     assert len(payload["points"]) == 25
     assert set(payload["points"][0]) == {"zeta", "eta", "lhs", "rhs", "violated", "margin"}
+
+
+def reference_scan(zetas, etas, fmt):
+    """bell-scan output rebuilt one point and one cell at a time."""
+    points = [(z, e, sin_inequality(z, e)) for z in zetas for e in etas]
+    rows = [[z, e, r.lhs, r.rhs, r.violated, r.margin] for z, e, r in points]
+    fraction = sum(r.violated for _, _, r in points) / len(points)
+    diagonal = [e for z, e, r in points if z == e and r.violated]
+    interval = [min(diagonal), max(diagonal)] if diagonal else None
+    header = ["zeta", "eta", "lhs", "rhs", "violated", "margin"]
+    if fmt == "json":
+        payload = {
+            "points": [dict(zip(header, row)) for row in rows],
+            "violated_fraction": fraction,
+            "diagonal_violation_interval": interval,
+        }
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    interval_text = f"[{cli._fmt(interval[0])},{cli._fmt(interval[1])}]" if interval else "none"
+    lines = [",".join(header), *(",".join(cli._fmt(v) for v in row) for row in rows)]
+    lines.append(f"# violated_fraction={cli._fmt(fraction)} diagonal_violation_interval={interval_text}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv,zetas,etas",
+    [
+        (
+            ["--degrees", "--zeta-steps", "4", "--eta-steps", "3", "--zeta-max", "60"],
+            np.linspace(0.0, math.radians(60), 4),
+            np.linspace(0.0, math.pi / 2, 3),
+        ),
+        (["--zeta-steps", "13", "--eta-steps", "7"], np.linspace(0.0, math.pi / 2, 13), np.linspace(0.0, math.pi / 2, 7)),
+    ],
+)
+def test_bell_scan_bytes_match_per_point_reference(capsys, argv, zetas, etas, fmt):
+    code, out, err = run(capsys, "bell-scan", *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == reference_scan(zetas.tolist(), etas.tolist(), fmt)
 
 
 # ---------------------------------------------------------------------------

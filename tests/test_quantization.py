@@ -49,6 +49,18 @@ def test_series_rejects_bad_harmonics():
         FourierSeries(0.0, ((0, 1.0, 0.0),))
 
 
+@pytest.mark.parametrize("k", [2.7, True, "2"])
+def test_series_rejects_non_integer_harmonics(k):
+    with pytest.raises(ValueError, match="must be integers"):
+        FourierSeries(0.0, ((k, 1.0, 0.0),))
+
+
+def test_series_accepts_integral_float_harmonics():
+    series = FourierSeries(0.0, ((2.0, 1.0, 0.0), (np.int64(3), 0.0, 1.0)))
+    assert series.terms == ((2, 1.0, 0.0), (3, 0.0, 1.0))
+    assert all(type(k) is int for k, _, _ in series.terms)
+
+
 def test_series_evaluation_and_shift():
     f = FourierSeries(0.5, ((1, 1.0, -0.5), (3, 0.0, 2.0)))
     phis = np.linspace(0.0, TWO_PI, 17)
@@ -174,6 +186,12 @@ def test_quantize_covariance(seed, theta, phi0):
     assert_allclose(
         quantize(f.shifted(theta), 0.8, phi0), quantize(f, 0.8, phi0 + theta), atol=1e-12
     )
+
+
+def test_quantize_rejects_overflowing_matrix():
+    huge = FourierSeries(1.7e308, ((2, 1.7e308, 0.0),))
+    with pytest.raises(ValueError, match="quantized matrix is not finite"):
+        quantize(huge, 1.0, 0.0)
 
 
 def test_quantize_sampled_agrees_with_series():
