@@ -215,11 +215,16 @@ def quantize(
     """
     _check_mixing(r)
     data = fourier_coefficients(f, n_samples).rotated(2.0 * phi0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix = data.mean * np.eye(2) + 0.5 * r * (data.cc * SIGMA3 + data.cs * SIGMA1)
-    if not np.isfinite(matrix).all():
+    # mean * I + h * (cc * SIGMA3 + cs * SIGMA1) entry by entry, with the same
+    # floating-point operations (signed zeros included); Python floats
+    # overflow to inf or nan without a warning
+    mean, cc, cs, h = float(data.mean), float(data.cc), float(data.cs), 0.5 * float(r)
+    a11 = mean + h * (cc + cs * 0.0)
+    a22 = mean + h * (-cc + cs * 0.0)
+    a12 = mean * 0.0 + h * (cc * 0.0 + cs)
+    if not (math.isfinite(a11) and math.isfinite(a12) and math.isfinite(a22)):
         raise ValueError("quantized matrix is not finite")
-    return matrix
+    return np.array([[a11, a12], [a12, a22]])
 
 
 def identity_residual(r: float, phi0: float, n_samples: int = DEFAULT_SAMPLES) -> float:
