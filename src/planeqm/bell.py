@@ -37,10 +37,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .states import TWO_PI, pure_state, sigma_phi
+from .states import TWO_PI, check_range, pure_state, sigma_phi
 
 #: Diagonal-first component i sits at Kronecker (lexicographic) slot _PERM[i].
-_PERM = (0, 3, 1, 2)
+_PERM = np.array([0, 3, 1, 2])
+_INV_PERM = np.argsort(_PERM)
 
 #: Strict-violation tolerance: boundary cases report "not violated".
 VIOLATION_TOL = 1e-12
@@ -48,10 +49,9 @@ VIOLATION_TOL = 1e-12
 DEFAULT_NODES = 4096
 
 
-def from_kron_order(a: np.ndarray) -> np.ndarray:
-    """Re-index a 4-vector or 4x4 operator from Kronecker to diagonal-first order."""
+def _reindex(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Permute the components of a 4-vector, or the rows and columns of a 4x4 operator."""
     a = np.asarray(a)
-    idx = list(_PERM)
     if a.shape == (4,):
         return a[idx]
     if a.shape == (4, 4):
@@ -59,15 +59,14 @@ def from_kron_order(a: np.ndarray) -> np.ndarray:
     raise ValueError(f"expected a 4-vector or 4x4 matrix, got shape {a.shape}")
 
 
+def from_kron_order(a: np.ndarray) -> np.ndarray:
+    """Re-index a 4-vector or 4x4 operator from Kronecker to diagonal-first order."""
+    return _reindex(a, _PERM)
+
+
 def to_kron_order(a: np.ndarray) -> np.ndarray:
     """Inverse of :func:`from_kron_order`."""
-    a = np.asarray(a)
-    inv = np.argsort(_PERM)
-    if a.shape == (4,):
-        return a[inv]
-    if a.shape == (4, 4):
-        return a[np.ix_(inv, inv)]
-    raise ValueError(f"expected a 4-vector or 4x4 matrix, got shape {a.shape}")
+    return _reindex(a, _INV_PERM)
 
 
 class BellKind(Enum):
@@ -152,17 +151,20 @@ class HiddenVariableModel:
         lo, hi = self.domain
         if not hi > lo:
             raise ValueError(f"domain ({lo}, {hi}) must have positive length")
-        n = 1 << 20
-        lam = lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
+        lam = _midpoints(lo, hi, 1 << 20)
         dens = np.asarray(self.density(lam), dtype=float)
         if dens.min() < 0.0:
             raise ValueError("density must be nonnegative")
         total = float(dens.mean() * (hi - lo))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"density integrates to {total!r}, expected 1 within 1e-9")
         probe = np.asarray(self.epsilon(0.37, lam[:64]), dtype=float)
         if not np.all(np.isin(probe, (-1.0, 1.0))):
             raise ValueError("epsilon must take values in {-1, +1}")
+
+
+def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
+    return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -220,11 +222,12 @@ def classical_correlation(
     itself at two settings; the anti-aligned pair expectation that enters
     the Bell bound is :func:`singlet_correlation`.
     """
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be positive, got {n_nodes}")
+    check_range(phi_a, "angle phi_a must be finite")
+    check_range(phi_b, "angle phi_b must be finite")
+    check_range(n_nodes, "n_nodes must be positive", 1)
     lo, hi = model.domain
     if method == "grid":
-        lam = lo + (np.arange(n_nodes) + 0.5) * ((hi - lo) / n_nodes)
+        lam = _midpoints(lo, hi, n_nodes)
     elif method == "mc":
         rng = np.random.default_rng(0 if seed is None else seed)
         lam = rng.uniform(lo, hi, n_nodes)
@@ -276,16 +279,20 @@ def baby_bell_check(p_ab: float, p_ac: float, p_bc: float) -> InequalityReport:
     correlation -cos violates it for suitable angle triples.
 
     Raises:
-        ValueError: if any correlation lies outside [-1, 1].
+        ValueError: if any correlation is not a number in [-1, 1].
     """
+    bound = 1.0 + VIOLATION_TOL
     for label, value in (("p_ab", p_ab), ("p_ac", p_ac), ("p_bc", p_bc)):
-        if abs(value) > 1.0 + VIOLATION_TOL:
-            raise ValueError(f"correlation {label}={value} lies outside [-1, 1]")
+        check_range(value, f"correlation {label} must lie in [-1, 1]", -bound, bound)
     return _report(abs(p_ab - p_ac), 1.0 + p_bc)
 
 
 def _sin_bound(zeta, eta):
     """(lhs, rhs) of the reduced-angle bound, broadcasting over numpy arrays."""
+    # every sum is finite when the extreme ones are, and then so are both
+    # angles: NaN propagates through max/min and inf - inf is NaN
+    for extreme in (np.max, np.min):
+        check_range(float(extreme(zeta)) + float(extreme(eta)), "zeta, eta and zeta + eta must be finite")
     s_zeta, s_sum, s_eta = np.sin(zeta), np.sin(eta + zeta), np.sin(eta)
     return np.abs(s_zeta * s_zeta - s_sum * s_sum), s_eta * s_eta
 

@@ -22,7 +22,7 @@ from .bell import BUILTIN_MODELS, quantum_correlation, baby_bell_check, singlet_
 from .isomorphisms import bell_basis_matrix, cat, coherent_to_tensor, flip, DOWN, UP
 from .measurement import PARALLEL, outcome_probability, sample_outcomes
 from .quantization import MIN_SAMPLES, fourier_coefficients, fourier_series_from_json, identity_residual, quantize
-from .states import DensityParams
+from .states import DensityParams, check_range
 
 
 class _InputError(Exception):
@@ -75,12 +75,9 @@ def _validate_common(args) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite")
-    if args.samples < MIN_SAMPLES:
-        raise ValueError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    if args.tolerance <= 0.0:
-        raise ValueError(f"--tolerance must be positive, got {args.tolerance}")
+    check_range(args.samples, f"--samples must be at least {MIN_SAMPLES}", MIN_SAMPLES)
+    check_range(args.seed, "--seed must be non-negative", 0)
+    check_range(args.tolerance, "--tolerance must be positive", math.ulp(0.0))
 
 
 def _complex_vec(z: np.ndarray) -> list[list[float]]:
@@ -137,20 +134,21 @@ def _cmd_identity_check(args) -> int:
 
 
 def _cmd_malus(args) -> int:
-    if args.steps < 2:
-        raise ValueError(f"--steps must be at least 2, got {args.steps}")
-    if args.mc_n is not None and args.mc_n < 1:
-        raise ValueError(f"--mc-n must be positive, got {args.mc_n}")
+    check_range(args.steps, "--steps must be at least 2", 2)
+    if args.mc_n is not None:
+        check_range(args.mc_n, "--mc-n must be positive", 1)
     light = DensityParams(args.r0, _angle(args.phi0, args))
     header = ["phi", "p_parallel", "p_perpendicular"]
     if args.mc_n is not None:
         header.append("mc_freq")
+        # one independent child stream per row
+        streams = np.random.SeedSequence(args.seed).spawn(args.steps)
     rows = []
     for i, phi in enumerate(np.linspace(0.0, math.pi, args.steps)):
         p_par = outcome_probability(light, float(phi), PARALLEL)
         row = [float(phi), p_par, 1.0 - p_par]
         if args.mc_n is not None:
-            count, _ = sample_outcomes(p_par, args.mc_n, args.seed ^ i)
+            count, _ = sample_outcomes(p_par, args.mc_n, streams[i])
             row.append(count / args.mc_n)
         rows.append(row)
     if args.format == "json":
@@ -167,8 +165,10 @@ def _cmd_bell_scan(args) -> int:
     # the upper defaults are pi/2 radians, whatever unit --degrees selects
     zeta_hi = math.pi / 2.0 if args.zeta_max is None else _angle(args.zeta_max, args)
     eta_hi = math.pi / 2.0 if args.eta_max is None else _angle(args.eta_max, args)
-    zetas = np.linspace(zeta_lo, zeta_hi, args.zeta_steps)
-    etas = np.linspace(eta_lo, eta_hi, args.eta_steps)
+    # a range wider than the largest float gives NaN nodes, which violation_scan refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        zetas = np.linspace(zeta_lo, zeta_hi, args.zeta_steps)
+        etas = np.linspace(eta_lo, eta_hi, args.eta_steps)
     grid = violation_scan(zetas, etas)
 
     fraction = int(np.count_nonzero(grid.violated)) / len(grid)

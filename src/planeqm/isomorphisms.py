@@ -33,6 +33,8 @@ from typing import Callable
 
 import numpy as np
 
+from .states import check_range
+
 UP = np.array([1.0 + 0.0j, 0.0 + 0.0j])
 DOWN = np.array([0.0 + 0.0j, 1.0 + 0.0j])
 
@@ -126,14 +128,10 @@ def cat(z: np.ndarray) -> np.ndarray:
 # spin one-half coherent states
 
 
-def _check_colatitude(theta: float) -> None:
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"colatitude theta must lie in [0, pi], got {theta}")
-
-
 def coherent_state(theta: float, phi: float) -> np.ndarray:
     """Unit vector (cos(theta/2), e^{i phi} sin(theta/2)) for a sphere direction."""
-    _check_colatitude(theta)
+    check_range(theta, "colatitude theta must lie in [0, pi]", 0.0, math.pi)
+    check_range(phi, "azimuth phi must be finite")
     return np.array(
         [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)]
     )
@@ -156,7 +154,8 @@ def coherent_to_tensor(theta: float, phi: float) -> np.ndarray:
     fourth component vanishes identically and the norm is one, so each
     upper-half-sphere direction is a pair of entangled plane angles.
     """
-    _check_colatitude(theta)
+    check_range(theta, "colatitude theta must lie in [0, pi]", 0.0, math.pi)
+    check_range(phi, "azimuth phi must be finite")
     half = theta / 2.0
     return np.array(
         [

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityParams, density_matrix, projector, rotation
+from .states import DensityParams, check_range, density_matrix, projector, rotation
 
 PARALLEL = "parallel"
 PERPENDICULAR = "perpendicular"
@@ -49,8 +49,8 @@ class DiracProfile:
     shape: str = "box"
 
     def __post_init__(self) -> None:
-        if self.eta <= 0.0:
-            raise ValueError(f"profile half-width eta must be positive, got {self.eta}")
+        check_range(self.t_m, "measurement time t_m must be finite")
+        check_range(self.eta, "profile half-width eta must be positive", math.ulp(0.0))
         if self.shape not in ("box", "gaussian"):
             raise ValueError(f'profile shape must be "box" or "gaussian", got {self.shape!r}')
 
@@ -76,9 +76,9 @@ def exp_projector(theta: float, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (2, 2):
         raise ValueError(f"projector must be 2x2, got shape {p.shape}")
-    if np.abs(p - p.T).max() > _PROJECTOR_TOL:
+    if not np.abs(p - p.T).max() <= _PROJECTOR_TOL:
         raise ValueError("projector must be symmetric")
-    if np.abs(p @ p - p).max() > _PROJECTOR_TOL:
+    if not np.abs(p @ p - p).max() <= _PROJECTOR_TOL:
         raise ValueError("projector must be idempotent")
     eye = np.eye(2)
     return np.kron(rotation(theta), p) + np.kron(eye, eye - p)
@@ -91,10 +91,9 @@ def evolution_operator(g_value: float, r: float, phi: float) -> np.ndarray:
     for every admissible argument.  G = 0 is the identity (no interaction
     yet), G = 1 the post-measurement operator.
     """
-    if not 0.0 <= g_value <= 1.0:
-        raise ValueError(f"cumulative weight G must lie in [0, 1], got {g_value}")
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"degree of mixing r must lie in [0, 1], got {r}")
+    check_range(g_value, "cumulative weight G must lie in [0, 1]", 0.0, 1.0)
+    check_range(r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
+    check_range(phi, "orientation phi must be finite")
     e_par = projector(phi)
     e_perp = projector(phi + 0.5 * math.pi)
     return np.kron(rotation(g_value * (1.0 + r) / 2.0), e_par) + np.kron(
@@ -155,8 +154,8 @@ def measurement_outcomes(
     interaction_phi: float,
 ) -> tuple[MeasurementOutcome, MeasurementOutcome]:
     """Both measurement branches; their probabilities sum to one exactly."""
-    if not 0.0 <= interaction_r <= 1.0:
-        raise ValueError(f"degree of mixing r must lie in [0, 1], got {interaction_r}")
+    check_range(interaction_r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
+    check_range(interaction_phi, "interaction orientation phi must be finite")
     p_par = outcome_probability(light, interaction_phi, PARALLEL)
     return (
         MeasurementOutcome(PARALLEL, (1.0 + interaction_r) / 2.0, p_par),
@@ -168,13 +167,12 @@ def sample_outcomes(p_parallel: float, n: int, seed: int) -> tuple[int, int]:
     """Count parallel/perpendicular outcomes over n seeded Bernoulli draws.
 
     Deterministic: identical (p_parallel, n, seed) always yields identical
-    counts.  For concurrent batches derive distinct seeds as
-    ``seed ^ task_index``; each call owns its own generator state.
+    counts.  For independent batches pass the children of one
+    ``numpy.random.SeedSequence(seed).spawn(n_batches)`` as seeds; each
+    call owns its own generator state.
     """
-    if not 0.0 <= p_parallel <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p_parallel}")
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
+    check_range(p_parallel, "probability must lie in [0, 1]", 0.0, 1.0)
+    check_range(n, "sample count must be positive", 1)
     rng = np.random.default_rng(seed)
     count = int((rng.random(n) < p_parallel).sum())
     return count, n - count

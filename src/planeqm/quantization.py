@@ -34,7 +34,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .states import SIGMA1, SIGMA3, TWO_PI, DensityParams, density_matrix
+from .states import SIGMA1, SIGMA3, TWO_PI, DensityParams, check_range, density_matrix, wrap_orientation
 
 #: Default number of quadrature nodes for sampled functions.
 DEFAULT_SAMPLES = 1024
@@ -157,8 +157,7 @@ class FourierData:
 
 
 def _quadrature_grid(n_samples: int) -> np.ndarray:
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}, got {n_samples}")
+    check_range(n_samples, f"n_samples must be at least {MIN_SAMPLES}", MIN_SAMPLES)
     return np.arange(n_samples) * (TWO_PI / n_samples)
 
 
@@ -181,23 +180,16 @@ def fourier_coefficients(f: CircleFunction, n_samples: int = DEFAULT_SAMPLES) ->
     rectangle rule, exact for trigonometric polynomials of degree
     < n_samples/2.
     """
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}, got {n_samples}")
+    phis = _quadrature_grid(n_samples)  # checks n_samples for closed-form inputs too
     if isinstance(f, FourierSeries):
         a2, b2 = f.coefficient(2)
         return FourierData(f.a0, a2, b2)
-    phis = _quadrature_grid(n_samples)
     vals = _sample(f, phis)
     # d(phi)/(2 pi) for the mean, d(phi)/pi for the doubled-angle pair
     mean = float(vals.mean())
     cc = float(2.0 * (vals * np.cos(2.0 * phis)).mean())
     cs = float(2.0 * (vals * np.sin(2.0 * phis)).mean())
     return FourierData(mean, cc, cs)
-
-
-def _check_mixing(r: float) -> None:
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"degree of mixing r must lie in [0, 1], got {r}")
 
 
 def quantize(
@@ -213,7 +205,8 @@ def quantize(
     pair of f rotated by 2*phi0.  The output is symmetric and linear in f;
     the constant function 1 maps to the identity for every (r, phi0).
     """
-    _check_mixing(r)
+    check_range(r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
+    check_range(phi0, "orientation offset phi0 must be finite")
     data = fourier_coefficients(f, n_samples).rotated(2.0 * phi0)
     # mean * I + h * (cc * SIGMA3 + cs * SIGMA1) entry by entry, with the same
     # floating-point operations (signed zeros included); Python floats
@@ -233,9 +226,11 @@ def identity_residual(r: float, phi0: float, n_samples: int = DEFAULT_SAMPLES) -
     Evaluated with the rectangle rule on ``n_samples`` nodes from the
     closed-form density entries, vectorized over the nodes; the exact
     integral is the identity, so the residual probes quadrature plus
-    rounding only (expected ~1e-16).
+    rounding only (expected ~1e-16).  phi0 is reduced mod pi first (the
+    family is pi-periodic), so a huge offset loses no digits.
     """
-    _check_mixing(r)
+    check_range(r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
+    phi0 = wrap_orientation(check_range(phi0, "orientation offset phi0 must be finite"))
     # rho(r, theta) = 1/2 I + (r/2) [cos(2 theta) SIGMA3 + sin(2 theta) SIGMA1]:
     # the node sum is n/2 I plus the summed doubled-angle entries
     theta2 = 2.0 * (phi0 + _quadrature_grid(n_samples))
@@ -279,10 +274,9 @@ def superposition_density(
     The weight function is nonnegative (a genuinely convex mixture) exactly
     when r >= 2 s; its minimum 1/2 - s/r is reported.
     """
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"mixing degree r of the integrand family must lie in (0, 1], got {r}")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"target mixing degree s must lie in [0, 1], got {s}")
+    check_range(r, "mixing degree r of the integrand family must lie in (0, 1]", math.ulp(0.0), 1.0)
+    check_range(s, "target mixing degree s must lie in [0, 1]", 0.0, 1.0)
+    check_range(theta, "target orientation theta must be finite")
     phis = _quadrature_grid(n_samples)
     acc = np.zeros((2, 2))
     for p in phis:
@@ -328,7 +322,8 @@ def povm_element(delta: BorelSet, r: float, phi0: float) -> np.ndarray:
     exact antiderivative of the density entries, so additivity is
     bit-stable.
     """
-    _check_mixing(r)
+    check_range(r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
+    check_range(phi0, "orientation offset phi0 must be finite")
     out = np.zeros((2, 2))
     for a, b in delta.intervals:
         c_term = math.sin(2.0 * (b + phi0)) - math.sin(2.0 * (a + phi0))

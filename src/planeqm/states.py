@@ -43,6 +43,17 @@ STRUCTURAL_TOL = 1e-12
 DECOMPOSE_TOL = 1e-10
 
 
+def check_range(value, what: str, lo: float = -math.inf, hi: float = math.inf):
+    """The one domain check for numeric parameters: ``value`` if finite and in [lo, hi].
+
+    Otherwise raises ValueError("<what>, got <value>").  A strict lower
+    bound 0 is written ``math.ulp(0.0)``, the smallest positive float.
+    """
+    if lo <= value <= hi and -math.inf < value < math.inf:
+        return value
+    raise ValueError(f"{what}, got {value}")
+
+
 def wrap_state_angle(phi: float) -> float:
     """Reduce a state angle to the canonical range [0, 2*pi)."""
     wrapped = float(phi) % TWO_PI
@@ -69,8 +80,8 @@ class DensityParams:
     phi: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"degree of mixing r must lie in [0, 1], got {self.r}")
+        check_range(self.r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
+        check_range(self.phi, "orientation phi must be finite")
 
     @property
     def degenerate(self) -> bool:
@@ -135,16 +146,16 @@ def spectral_decompose(m: np.ndarray) -> DensityParams:
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if abs(m[0, 1] - m[1, 0]) > DECOMPOSE_TOL:
+    if not abs(m[0, 1] - m[1, 0]) <= DECOMPOSE_TOL:
         raise ValueError("matrix is not symmetric: off-diagonal entries differ")
-    if abs(m[0, 0] + m[1, 1] - 1.0) > DECOMPOSE_TOL:
+    if not abs(m[0, 0] + m[1, 1] - 1.0) <= DECOMPOSE_TOL:
         raise ValueError(f"matrix trace is {m[0, 0] + m[1, 1]!r}, expected 1")
 
     # rho = 1/2 I + (r/2)(cos(2 phi) SIGMA3 + sin(2 phi) SIGMA1)
     x = m[0, 0] - 0.5
     y = 0.5 * (m[0, 1] + m[1, 0])
     r = 2.0 * math.hypot(x, y)
-    if r > 1.0 + 2.0 * DECOMPOSE_TOL:
+    if not r <= 1.0 + 2.0 * DECOMPOSE_TOL:
         raise ValueError(
             f"matrix is not positive semidefinite: smallest eigenvalue {(1.0 - r) / 2.0!r}"
         )
