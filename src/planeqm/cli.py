@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -38,14 +39,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(chunks, output: Optional[str]) -> None:
+    """Write one string, or an iterable of strings in order, to ``output`` or stdout."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     try:
         if output:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                for chunk in chunks:
+                    fh.write(chunk)
         else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            # a stand-in stream that only writes has nothing to flush
+            flush = getattr(sys.stdout, "flush", None)
+            if flush is not None:
+                flush()
     except OSError as exc:
         raise _InputError(f"cannot write {output or 'stdout'}: {exc.strerror or exc}") from exc
 
@@ -54,17 +63,8 @@ def _emit_json(obj, output: Optional[str]) -> None:
     _emit(json.dumps(obj, indent=2, allow_nan=False) + "\n", output)
 
 
-def _emit_csv(header: list[str], rows: list[list], output: Optional[str], trailer: str = "") -> None:
-    _emit_csv_lines(header, [",".join(map(_fmt, row)) for row in rows], output, trailer)
-
-
-def _emit_csv_lines(header: list[str], lines, output: Optional[str], trailer: str = "") -> None:
-    """Write already formatted CSV data lines between the header and the trailer."""
-    parts = [",".join(header), *lines]
-    if trailer:
-        parts.append(trailer)
-    parts.append("")  # the final newline, without copying the joined text
-    _emit("\n".join(parts), output)
+def _emit_csv(header: list[str], rows: list[list], output: Optional[str]) -> None:
+    _emit("\n".join([",".join(header), *(",".join(map(_fmt, row)) for row in rows), ""]), output)
 
 
 def _angle(value: float, args) -> float:
@@ -158,6 +158,49 @@ def _cmd_malus(args) -> int:
     return 0
 
 
+#: Grid points per block of bell-scan output, rounded down to whole zeta rows
+#: (at least one): the formatted text held at once is bounded by one block.
+_SCAN_BLOCK_POINTS = 8192
+_SCAN_FIELDS = ("zeta", "eta", "lhs", "rhs", "violated", "margin")
+#: A scan point in each format: a template with one %s per field, in
+#: _SCAN_FIELDS order, and the text between two points.  Both formats write
+#: floats with repr, as json.dumps does, and the flags as false/true.
+_CSV_POINT = (",".join(["%s"] * len(_SCAN_FIELDS)), "\n")
+_JSON_POINT = ("    {\n" + ",\n".join(f'      "{name}": %s' for name in _SCAN_FIELDS) + "\n    }", ",\n")
+
+
+def _scan_text(grid, head: str, template: str, point_sep: str, tail: str):
+    """``head``, the scan points written with ``template`` and ``point_sep``, then ``tail``.
+
+    The points come in blocks of whole zeta rows.  The template's text is
+    joined once to the strings that repeat (zeta per row, eta and rhs per
+    column, the two flags), so only lhs and margin are formatted per point.
+    """
+    before_zeta, after_zeta, after_eta, before_rhs, after_rhs, after_flag, end = template.split("%s")
+    lead = end + point_sep + before_zeta
+    etas = [eta + after_eta for eta in map(repr, grid.etas.tolist())]
+    rhs = [before_rhs + value + after_rhs for value in map(repr, grid.rhs.tolist())]
+    flags = ("false" + after_flag, "true" + after_flag)
+    rows = max(1, _SCAN_BLOCK_POINTS // len(etas))
+    yield head
+    for start in range(0, grid.zetas.size, rows):
+        block = slice(start, start + rows)
+        zetas = [lead + zeta + after_zeta for zeta in map(repr, grid.zetas[block].tolist())]
+        zeta_column = [zeta for zeta in zetas for _ in etas]
+        if not start:  # the first point follows no other
+            zeta_column[0] = zeta_column[0][len(end + point_sep):]
+        points = zip(
+            zeta_column,
+            etas * len(zetas),
+            map(repr, grid.lhs[block].ravel().tolist()),
+            rhs * len(zetas),
+            map(flags.__getitem__, grid.violated[block].ravel().tolist()),
+            map(repr, grid.margin[block].ravel().tolist()),
+        )
+        yield "".join(itertools.chain.from_iterable(points))
+    yield end + tail
+
+
 def _cmd_bell_scan(args) -> int:
     if args.zeta_steps < 1 or args.eta_steps < 1:
         raise ValueError("--zeta-steps and --eta-steps must be at least 1")
@@ -173,43 +216,18 @@ def _cmd_bell_scan(args) -> int:
 
     fraction = int(np.count_nonzero(grid.violated)) / len(grid)
     diag_violated = grid.etas[np.nonzero(grid.violated & (grid.zetas[:, None] == grid.etas))[1]]
-    if diag_violated.size:
-        interval = (float(diag_violated.min()), float(diag_violated.max()))
-        interval_text = f"[{_fmt(interval[0])},{_fmt(interval[1])}]"
-    else:
-        interval = None
-        interval_text = "none"
-    trailer = f"# violated_fraction={_fmt(fraction)} diagonal_violation_interval={interval_text}"
-
-    # Columns, not cells: zeta, eta and rhs are formatted once per axis value
-    # and repeated; only lhs, violated and margin vary per point.
-    header = ["zeta", "eta", "lhs", "rhs", "violated", "margin"]
-    as_csv = args.format != "json"
-
-    def column(values: list):
-        return map(repr, values) if as_csv else values
-
-    zs, es, rs = (list(column(axis.tolist())) for axis in (grid.zetas, grid.etas, grid.rhs))
-    flags = np.where(grid.violated, "true", "false") if as_csv else grid.violated
-    columns = (
-        [z for z in zs for _ in es],
-        es * len(zs),
-        column(grid.lhs.ravel().tolist()),
-        rs * len(zs),
-        flags.ravel().tolist(),
-        column(grid.margin.ravel().tolist()),
-    )
-    if as_csv:
-        _emit_csv_lines(header, map(",".join, zip(*columns)), args.output, trailer)
-    else:
-        _emit_json(
-            {
-                "points": [dict(zip(header, values)) for values in zip(*columns)],
-                "violated_fraction": fraction,
-                "diagonal_violation_interval": list(interval) if interval else None,
-            },
-            args.output,
+    interval = [float(diag_violated.min()), float(diag_violated.max())] if diag_violated.size else None
+    if args.format == "json":
+        # byte-identical to json.dumps(payload, indent=2) of the whole payload
+        summary = json.dumps(
+            {"violated_fraction": fraction, "diagonal_violation_interval": interval}, indent=2, allow_nan=False
         )
+        head, point, tail = '{\n  "points": [\n', _JSON_POINT, "\n  ]," + summary[1:] + "\n"
+    else:
+        interval_text = f"[{_fmt(interval[0])},{_fmt(interval[1])}]" if interval else "none"
+        head, point = ",".join(_SCAN_FIELDS) + "\n", _CSV_POINT
+        tail = f"\n# violated_fraction={_fmt(fraction)} diagonal_violation_interval={interval_text}\n"
+    _emit(_scan_text(grid, head, *point, tail), args.output)
     return 0
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityParams, check_range, density_matrix, projector, rotation
+from .states import DensityParams, check_range, density_matrix, projector, rotation, wrap_orientation
 
 PARALLEL = "parallel"
 PERPENDICULAR = "perpendicular"
@@ -57,6 +57,7 @@ class DiracProfile:
 
 def dirac_cumulative(profile: DiracProfile, t: float) -> float:
     """Accumulated interaction weight G(t) in [0, 1] at time t."""
+    check_range(t, "time t must be finite")
     if profile.shape == "box":
         ramp = (t - profile.t_m + profile.eta) / (2.0 * profile.eta)
         return min(1.0, max(0.0, ramp))
@@ -127,7 +128,8 @@ def outcome_probability(light: DensityParams, interaction_phi: float, orientatio
     equal the trace of the evolved joint state against I (x) E_phi and
     I (x) E_{phi+pi/2}, independently of the pointer preparation.
     """
-    aligned = 0.5 * (1.0 + light.r * math.cos(2.0 * (interaction_phi - light.phi)))
+    # pi-periodic in the light orientation: reduce it before doubling, so a huge phi0 stays finite
+    aligned = 0.5 * (1.0 + light.r * math.cos(2.0 * (interaction_phi - wrap_orientation(light.phi))))
     if orientation == PARALLEL:
         return aligned
     if orientation == PERPENDICULAR:

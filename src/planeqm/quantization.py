@@ -206,7 +206,8 @@ def quantize(
     the constant function 1 maps to the identity for every (r, phi0).
     """
     check_range(r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
-    check_range(phi0, "orientation offset phi0 must be finite")
+    # the family is pi-periodic in phi0: reduce it before doubling, so a huge offset stays finite
+    phi0 = wrap_orientation(check_range(phi0, "orientation offset phi0 must be finite"))
     data = fourier_coefficients(f, n_samples).rotated(2.0 * phi0)
     # mean * I + h * (cc * SIGMA3 + cs * SIGMA1) entry by entry, with the same
     # floating-point operations (signed zeros included); Python floats

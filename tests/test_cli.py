@@ -321,6 +321,72 @@ def test_bell_scan_bytes_match_per_point_reference(capsys, argv, zetas, etas, fm
     assert out == reference_scan(zetas.tolist(), etas.tolist(), fmt)
 
 
+#: zeta rows per output block at 700 eta steps; 2 blocks and one row more
+#: make a non-square grid whose zeta count is not a multiple of the block
+_BLOCK_ROWS = cli._SCAN_BLOCK_POINTS // 700
+_SCAN_GRIDS = {
+    "1x1": (["--zeta-steps", "1", "--eta-steps", "1"], np.linspace(0.0, math.pi / 2, 1), np.linspace(0.0, math.pi / 2, 1)),
+    "1x50": (["--zeta-steps", "1", "--eta-steps", "50"], np.linspace(0.0, math.pi / 2, 1), np.linspace(0.0, math.pi / 2, 50)),
+    "50x1": (["--zeta-steps", "50", "--eta-steps", "1"], np.linspace(0.0, math.pi / 2, 50), np.linspace(0.0, math.pi / 2, 1)),
+    "partial-block": (
+        ["--zeta-steps", str(2 * _BLOCK_ROWS + 1), "--eta-steps", "700", "--zeta-max", "1.2"],
+        np.linspace(0.0, 1.2, 2 * _BLOCK_ROWS + 1),
+        np.linspace(0.0, math.pi / 2, 700),
+    ),
+    "degrees": (
+        ["--degrees", "--zeta-steps", "9", "--eta-steps", "6", "--zeta-min", "10", "--eta-max", "80"],
+        np.linspace(math.radians(10), math.pi / 2, 9),
+        np.linspace(0.0, math.radians(80), 6),
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(_SCAN_GRIDS), ids=list(_SCAN_GRIDS))
+def scan_reference(request):
+    argv, zetas, etas = _SCAN_GRIDS[request.param]
+    return argv, {fmt: reference_scan(zetas.tolist(), etas.tolist(), fmt) for fmt in ("csv", "json")}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_bell_scan_matches_reference_on_stdout(capsys, scan_reference, fmt):
+    argv, reference = scan_reference
+    assert run(capsys, "bell-scan", *argv, "--format", fmt) == (0, reference[fmt], "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_bell_scan_matches_reference_in_output_file(capsys, tmp_path, scan_reference, fmt):
+    argv, reference = scan_reference
+    target = tmp_path / f"scan.{fmt}"
+    assert run(capsys, "bell-scan", *argv, "--format", fmt, "--output", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == reference[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bell_scan_writes_bounded_blocks(capsys, monkeypatch, tmp_path, fmt):
+    class RecordingStream:
+        def __init__(self):
+            self.chunks = []
+
+        def write(self, text):
+            self.chunks.append(text)
+
+    argv = ["bell-scan", "--zeta-steps", "301", "--eta-steps", "301", "--format", fmt]
+    stream = RecordingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    code = main(argv)
+    monkeypatch.undo()
+    assert code == 0
+    text = "".join(stream.chunks)
+    assert max(map(len, stream.chunks)) <= len(text) / 8
+    target = tmp_path / "scan.out"
+    assert main([*argv, "--output", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == text
+    if fmt == "json":
+        assert len(json.loads(text)["points"]) == 301 * 301
+    else:
+        assert text.count("\n") == 301 * 301 + 2
+
+
 # ---------------------------------------------------------------------------
 # correlate
 

@@ -29,6 +29,7 @@ from planeqm.isomorphisms import coherent_state, coherent_to_tensor, d_half_matr
 from planeqm.measurement import (
     PARALLEL,
     DiracProfile,
+    dirac_cumulative,
     evolution_operator,
     exp_projector,
     measurement_outcomes,
@@ -132,6 +133,13 @@ def test_validated_parameter_refuses_non_finite(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("shape", ["box", "gaussian"])
+def test_dirac_cumulative_refuses_non_finite_time(shape, value):
+    with pytest.raises(ValueError, match=r"^time t must be finite, got "):
+        dirac_cumulative(DiracProfile(0.0, 0.1, shape), value)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -229,6 +237,22 @@ def test_identity_check_passes_for_huge_offsets(phi0):
     record = dict(zip(header.split(","), row.split(",")))
     assert record["passed"] == "true"
     assert float(record["residual"]) < 1e-15
+
+
+def _csv_values(out: str) -> list[list[float]]:
+    return [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+
+
+@pytest.mark.parametrize("phi0", [1e10, -1e10, 5e307, 1e308, -1e308])
+def test_quantize_and_malus_reduce_huge_offsets(phi0):
+    # both families are pi-periodic in phi0, so phi0 and phi0 mod pi give the same values
+    reduced = phi0 % math.pi
+    series = '{"a0": 1, "terms": [{"k": 2, "ak": 0.3, "bk": -0.2}]}'
+    for argv in (["quantize", series, "--r", "0.5"], ["malus", "--r0", "1", "--steps", "3"]):
+        code, out, err = run(*argv, f"--phi0={phi0!r}", "--format", "csv")
+        assert (code, err) == (0, "")
+        _, expected, _ = run(*argv, f"--phi0={reduced!r}", "--format", "csv")
+        np.testing.assert_allclose(_csv_values(out), _csv_values(expected), rtol=0, atol=1e-12)
 
 
 def _mc_column(seed: int) -> list[float]:
