@@ -287,12 +287,21 @@ def baby_bell_check(p_ab: float, p_ac: float, p_bc: float) -> InequalityReport:
     return _report(abs(p_ab - p_ac), 1.0 + p_bc)
 
 
-def _sin_bound(zeta, eta):
-    """(lhs, rhs) of the reduced-angle bound, broadcasting over numpy arrays."""
+def check_angle_sums(zeta, eta) -> None:
+    """Refuse reduced angles unless every zeta, eta and zeta + eta is finite.
+
+    ``zeta`` and ``eta`` are floats or arrays; every sum of an element of
+    one with an element of the other is checked, as on their Cartesian grid.
+    """
     # every sum is finite when the extreme ones are, and then so are both
     # angles: NaN propagates through max/min and inf - inf is NaN
     for extreme in (np.max, np.min):
         check_range(float(extreme(zeta)) + float(extreme(eta)), "zeta, eta and zeta + eta must be finite")
+
+
+def _sin_bound(zeta, eta):
+    """(lhs, rhs) of the reduced-angle bound, broadcasting over numpy arrays."""
+    check_angle_sums(zeta, eta)
     s_zeta, s_sum, s_eta = np.sin(zeta), np.sin(eta + zeta), np.sin(eta)
     return np.abs(s_zeta * s_zeta - s_sum * s_sum), s_eta * s_eta
 

@@ -1,9 +1,10 @@
 """Command-line front end: reproducible scans and machine-readable demos.
 
 Exit codes: 0 success, 1 check failed, 2 input-parse error, 3 domain
-error.  Results go to stdout (or ``--output``); stderr carries diagnostics
-only.  All angles are radians unless ``--degrees`` is given; outputs are
-always radians.  Identical invocations produce byte-identical output.
+error (a size too large to allocate included).  Results go to stdout (or
+``--output``); stderr carries diagnostics only.  All angles are radians
+unless ``--degrees`` is given; outputs are always radians.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from typing import Optional
 
 import numpy as np
 
-from .bell import BUILTIN_MODELS, quantum_correlation, baby_bell_check, singlet_correlation, violation_scan
+from .bell import (
+    BUILTIN_MODELS,
+    baby_bell_check,
+    check_angle_sums,
+    quantum_correlation,
+    singlet_correlation,
+    violation_scan,
+)
 from .isomorphisms import bell_basis_matrix, cat, coherent_to_tensor, flip, DOWN, UP
 from .measurement import PARALLEL, outcome_probability, sample_outcomes
 from .quantization import MIN_SAMPLES, fourier_coefficients, fourier_series_from_json, identity_residual, quantize
@@ -158,9 +166,9 @@ def _cmd_malus(args) -> int:
     return 0
 
 
-#: Grid points per block of bell-scan output, rounded down to whole zeta rows
-#: (at least one): the formatted text held at once is bounded by one block.
-_SCAN_BLOCK_POINTS = 8192
+#: Grid points per block of bell-scan, rounded down to whole zeta rows (at
+#: least one): the arrays and formatted text held at once are bounded by one block.
+_SCAN_BLOCK_POINTS = 2048
 _SCAN_FIELDS = ("zeta", "eta", "lhs", "rhs", "violated", "margin")
 #: A scan point in each format: a template with one %s per field, in
 #: _SCAN_FIELDS order, and the text between two points.  Both formats write
@@ -169,36 +177,59 @@ _CSV_POINT = (",".join(["%s"] * len(_SCAN_FIELDS)), "\n")
 _JSON_POINT = ("    {\n" + ",\n".join(f'      "{name}": %s' for name in _SCAN_FIELDS) + "\n    }", ",\n")
 
 
-def _scan_text(grid, head: str, template: str, point_sep: str, tail: str):
-    """``head``, the scan points written with ``template`` and ``point_sep``, then ``tail``.
+def _csv_scan_tail(fraction: float, interval: Optional[list[float]]) -> str:
+    interval_text = f"[{_fmt(interval[0])},{_fmt(interval[1])}]" if interval else "none"
+    return f"\n# violated_fraction={_fmt(fraction)} diagonal_violation_interval={interval_text}\n"
 
-    The points come in blocks of whole zeta rows.  The template's text is
-    joined once to the strings that repeat (zeta per row, eta and rhs per
-    column, the two flags), so only lhs and margin are formatted per point.
+
+def _json_scan_tail(fraction: float, interval: Optional[list[float]]) -> str:
+    # byte-identical to json.dumps(payload, indent=2) of the whole payload
+    summary = json.dumps(
+        {"violated_fraction": fraction, "diagonal_violation_interval": interval}, indent=2, allow_nan=False
+    )
+    return "\n  ]," + summary[1:] + "\n"
+
+
+def _scan_text(zetas, etas, head: str, template: str, point_sep: str, tail):
+    """``head``, the scan points written with ``template`` and ``point_sep``, then the summary.
+
+    The bound is evaluated and written one block of whole zeta rows at a
+    time.  The violated count and the violated diagonal etas' min and max
+    are carried across blocks; ``tail(fraction, interval)`` writes them
+    after the last point.  The template's text is joined once to the
+    strings that repeat (zeta per row, eta and rhs per column, the two
+    flags), so only lhs and margin are formatted per point.
     """
     before_zeta, after_zeta, after_eta, before_rhs, after_rhs, after_flag, end = template.split("%s")
     lead = end + point_sep + before_zeta
-    etas = [eta + after_eta for eta in map(repr, grid.etas.tolist())]
-    rhs = [before_rhs + value + after_rhs for value in map(repr, grid.rhs.tolist())]
+    eta_text = [eta + after_eta for eta in map(repr, etas.tolist())]
     flags = ("false" + after_flag, "true" + after_flag)
-    rows = max(1, _SCAN_BLOCK_POINTS // len(etas))
+    rows = max(1, _SCAN_BLOCK_POINTS // etas.size)
+    rhs, violated, interval = None, 0, None
     yield head
-    for start in range(0, grid.zetas.size, rows):
-        block = slice(start, start + rows)
-        zetas = [lead + zeta + after_zeta for zeta in map(repr, grid.zetas[block].tolist())]
-        zeta_column = [zeta for zeta in zetas for _ in etas]
+    for start in range(0, zetas.size, rows):
+        grid = violation_scan(zetas[start : start + rows], etas)
+        if rhs is None:  # rhs depends on eta alone
+            rhs = [before_rhs + value + after_rhs for value in map(repr, grid.rhs.tolist())]
+        violated += int(np.count_nonzero(grid.violated))
+        diagonal = etas[np.nonzero(grid.violated & (grid.zetas[:, None] == etas))[1]]
+        if diagonal.size:
+            lo, hi = float(diagonal.min()), float(diagonal.max())
+            interval = [lo, hi] if interval is None else [min(interval[0], lo), max(interval[1], hi)]
+        zeta_text = [lead + zeta + after_zeta for zeta in map(repr, grid.zetas.tolist())]
+        zeta_column = [zeta for zeta in zeta_text for _ in eta_text]
         if not start:  # the first point follows no other
             zeta_column[0] = zeta_column[0][len(end + point_sep):]
         points = zip(
             zeta_column,
-            etas * len(zetas),
-            map(repr, grid.lhs[block].ravel().tolist()),
-            rhs * len(zetas),
-            map(flags.__getitem__, grid.violated[block].ravel().tolist()),
-            map(repr, grid.margin[block].ravel().tolist()),
+            eta_text * len(zeta_text),
+            map(repr, grid.lhs.ravel().tolist()),
+            rhs * len(zeta_text),
+            map(flags.__getitem__, grid.violated.ravel().tolist()),
+            map(repr, grid.margin.ravel().tolist()),
         )
         yield "".join(itertools.chain.from_iterable(points))
-    yield end + tail
+    yield end + tail(violated / (zetas.size * etas.size), interval)
 
 
 def _cmd_bell_scan(args) -> int:
@@ -208,26 +239,17 @@ def _cmd_bell_scan(args) -> int:
     # the upper defaults are pi/2 radians, whatever unit --degrees selects
     zeta_hi = math.pi / 2.0 if args.zeta_max is None else _angle(args.zeta_max, args)
     eta_hi = math.pi / 2.0 if args.eta_max is None else _angle(args.eta_max, args)
-    # a range wider than the largest float gives NaN nodes, which violation_scan refuses
+    # a range wider than the largest float gives NaN nodes, which the check refuses
     with np.errstate(over="ignore", invalid="ignore"):
         zetas = np.linspace(zeta_lo, zeta_hi, args.zeta_steps)
         etas = np.linspace(eta_lo, eta_hi, args.eta_steps)
-    grid = violation_scan(zetas, etas)
-
-    fraction = int(np.count_nonzero(grid.violated)) / len(grid)
-    diag_violated = grid.etas[np.nonzero(grid.violated & (grid.zetas[:, None] == grid.etas))[1]]
-    interval = [float(diag_violated.min()), float(diag_violated.max())] if diag_violated.size else None
+    # the whole grid, before any output: the blocks are evaluated while writing
+    check_angle_sums(zetas, etas)
     if args.format == "json":
-        # byte-identical to json.dumps(payload, indent=2) of the whole payload
-        summary = json.dumps(
-            {"violated_fraction": fraction, "diagonal_violation_interval": interval}, indent=2, allow_nan=False
-        )
-        head, point, tail = '{\n  "points": [\n', _JSON_POINT, "\n  ]," + summary[1:] + "\n"
+        head, point, tail = '{\n  "points": [\n', _JSON_POINT, _json_scan_tail
     else:
-        interval_text = f"[{_fmt(interval[0])},{_fmt(interval[1])}]" if interval else "none"
-        head, point = ",".join(_SCAN_FIELDS) + "\n", _CSV_POINT
-        tail = f"\n# violated_fraction={_fmt(fraction)} diagonal_violation_interval={interval_text}\n"
-    _emit(_scan_text(grid, head, *point, tail), args.output)
+        head, point, tail = ",".join(_SCAN_FIELDS) + "\n", _CSV_POINT, _csv_scan_tail
+    _emit(_scan_text(zetas, etas, head, *point, tail), args.output)
     return 0
 
 
@@ -376,6 +398,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a size too large to allocate, e.g. numpy's "Unable to allocate ..."
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

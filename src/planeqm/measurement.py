@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityParams, check_range, density_matrix, projector, rotation, wrap_orientation
+from .states import DensityParams, check_range, density_matrix, projector, rotation, wrap_orientation, wrap_state_angle
 
 PARALLEL = "parallel"
 PERPENDICULAR = "perpendicular"
@@ -128,8 +128,10 @@ def outcome_probability(light: DensityParams, interaction_phi: float, orientatio
     equal the trace of the evolved joint state against I (x) E_phi and
     I (x) E_{phi+pi/2}, independently of the pointer preparation.
     """
-    # pi-periodic in the light orientation: reduce it before doubling, so a huge phi0 stays finite
-    aligned = 0.5 * (1.0 + light.r * math.cos(2.0 * (interaction_phi - wrap_orientation(light.phi))))
+    # pi-periodic in both angles: reduce them before doubling, so a huge phi or phi0 stays finite;
+    # wrap_state_angle leaves [0, 2 pi) as it is, the malus grid [0, pi] included
+    phi = wrap_state_angle(interaction_phi)
+    aligned = 0.5 * (1.0 + light.r * math.cos(2.0 * (phi - wrap_orientation(light.phi))))
     if orientation == PARALLEL:
         return aligned
     if orientation == PERPENDICULAR:

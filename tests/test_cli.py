@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from planeqm import cli
-from planeqm.bell import sin_inequality
+from planeqm.bell import sin_inequality, violation_scan
 from planeqm.cli import main
 
 SQ2 = math.sqrt(2.0)
@@ -169,6 +169,27 @@ def test_negative_seed_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: --seed must be non-negative, got -1\n"
+
+
+#: 10**18 eight-byte nodes are 6.94 EiB, beyond any 64-bit address space,
+#: so the allocation is refused without touching memory
+_UNALLOCATABLE = str(10**18)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bell-scan", "--zeta-steps", _UNALLOCATABLE, "--eta-steps", "2"],
+        ["correlate", "--model", "sign-cos", "--phi-a", "0", "--phi-b", "1", "--n-nodes", _UNALLOCATABLE],
+        ["identity-check", "--r", "0.5", "--samples", _UNALLOCATABLE],
+    ],
+    ids=["bell-scan", "correlate", "identity-check"],
+)
+def test_unallocatable_size_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: Unable to allocate ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +406,56 @@ def test_bell_scan_writes_bounded_blocks(capsys, monkeypatch, tmp_path, fmt):
         assert len(json.loads(text)["points"]) == 301 * 301
     else:
         assert text.count("\n") == 301 * 301 + 2
+
+
+@pytest.mark.parametrize("zeta_steps,eta_steps", [(301, 401), (3, cli._SCAN_BLOCK_POINTS + 5)])
+def test_bell_scan_evaluates_bounded_blocks(capsys, monkeypatch, zeta_steps, eta_steps):
+    calls = []
+
+    def recording_scan(zeta_grid, eta_grid):
+        calls.append((np.array(zeta_grid), np.array(eta_grid)))
+        return violation_scan(zeta_grid, eta_grid)
+
+    monkeypatch.setattr(cli, "violation_scan", recording_scan)
+    code, _, err = run(capsys, "bell-scan", "--zeta-steps", str(zeta_steps), "--eta-steps", str(eta_steps))
+    assert (code, err) == (0, "")
+    etas = np.linspace(0.0, math.pi / 2, eta_steps)
+    assert max(z.size * e.size for z, e in calls) <= max(eta_steps, cli._SCAN_BLOCK_POINTS)
+    # the blocks cover every zeta row once, in order, each against the whole eta grid
+    assert np.array_equal(np.concatenate([z for z, _ in calls]), np.linspace(0.0, math.pi / 2, zeta_steps))
+    assert all(np.array_equal(e, etas) for _, e in calls)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bell_scan_summary_spans_blocks(capsys, fmt):
+    # the violated diagonal runs through many blocks, on both sides of zero
+    bounds = ["--zeta-min=-1", "--zeta-max=1", "--eta-min=-1", "--eta-max=1"]
+    code, out, err = run(capsys, "bell-scan", "--zeta-steps", "201", "--eta-steps", "201", *bounds, "--format", fmt)
+    assert (code, err) == (0, "")
+    grid = violation_scan(np.linspace(-1.0, 1.0, 201), np.linspace(-1.0, 1.0, 201))
+    diagonal = grid.etas[np.diag(grid.violated)]
+    interval = [float(diagonal.min()), float(diagonal.max())]
+    fraction = int(np.count_nonzero(grid.violated)) / len(grid)
+    assert 201 // (cli._SCAN_BLOCK_POINTS // 201) > 2
+    if fmt == "json":
+        payload = json.loads(out)
+        assert (payload["violated_fraction"], payload["diagonal_violation_interval"]) == (fraction, interval)
+    else:
+        expected = f"# violated_fraction={fraction!r} diagonal_violation_interval=[{interval[0]!r},{interval[1]!r}]"
+        assert out.strip().split("\n")[-1] == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bell_scan_overflow_in_last_rows_writes_nothing(capsys, tmp_path, fmt):
+    # zeta + eta overflows only for zeta above 1.797e308 - 1e307: the last rows, in the second block
+    argv = ["bell-scan", "--zeta-steps", "2000", "--eta-steps", "2", "--zeta-max", "1.7e308", "--eta-max", "1e307"]
+    assert 2000 * 2 > cli._SCAN_BLOCK_POINTS
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: zeta, eta and zeta + eta must be finite, got ")
+    target = tmp_path / "scan.out"
+    assert run(capsys, *argv, "--format", fmt, "--output", str(target))[0] == 3
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------

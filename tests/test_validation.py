@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from planeqm.bell import (
     baby_bell_check,
+    check_angle_sums,
     classical_correlation,
     HiddenVariableModel,
     quantum_correlation,
@@ -28,6 +29,7 @@ from planeqm.cli import main
 from planeqm.isomorphisms import coherent_state, coherent_to_tensor, d_half_matrix
 from planeqm.measurement import (
     PARALLEL,
+    PERPENDICULAR,
     DiracProfile,
     dirac_cumulative,
     evolution_operator,
@@ -146,8 +148,9 @@ def test_dirac_cumulative_refuses_non_finite_time(shape, value):
         lambda: sin_inequality(1e308, 1e308),
         lambda: violation_scan([1e308], [0.0, 1e308]),
         lambda: violation_scan([-1e308, 0.0], [-1e308]),
+        lambda: check_angle_sums(np.array([0.0, 1.7e308]), np.array([0.0, 1e307])),
     ],
-    ids=["sin_inequality", "violation_scan-max", "violation_scan-min"],
+    ids=["sin_inequality", "violation_scan-max", "violation_scan-min", "check_angle_sums"],
 )
 def test_overflowing_angle_sum_is_refused(call):
     with pytest.raises(ValueError, match="zeta, eta and zeta \\+ eta must be finite, got"):
@@ -198,6 +201,18 @@ def test_elementwise_closed_forms_keep_float_semantics():
 @pytest.mark.parametrize("phi0", [1e10, -1e10, 5e307, 1e308, -1e308])
 def test_identity_residual_reduces_huge_offsets(phi0):
     assert identity_residual(0.7, phi0) < 1e-15
+
+
+@pytest.mark.parametrize("phi", [1e10, -1e10, 5e307, 1e308, -1e308])
+def test_outcome_probability_reduces_huge_polarizer_angles(phi):
+    # cos 2(phi - phi0) is pi-periodic in phi, so phi and phi mod pi give the same values
+    reduced = phi % math.pi
+    for orientation in (PARALLEL, PERPENDICULAR):
+        assert outcome_probability(LIGHT, phi, orientation) == pytest.approx(
+            outcome_probability(LIGHT, reduced, orientation), abs=1e-12
+        )
+    for got, want in zip(measurement_outcomes(LIGHT, 0.5, phi), measurement_outcomes(LIGHT, 0.5, reduced)):
+        assert got.probability == pytest.approx(want.probability, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
