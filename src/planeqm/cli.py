@@ -149,14 +149,13 @@ def _cmd_malus(args) -> int:
     header = ["phi", "p_parallel", "p_perpendicular"]
     if args.mc_n is not None:
         header.append("mc_freq")
-        # one independent child stream per row
-        streams = np.random.SeedSequence(args.seed).spawn(args.steps)
     rows = []
     for i, phi in enumerate(np.linspace(0.0, math.pi, args.steps)):
         p_par = outcome_probability(light, float(phi), PARALLEL)
         row = [float(phi), p_par, 1.0 - p_par]
         if args.mc_n is not None:
-            count, _ = sample_outcomes(p_par, args.mc_n, streams[i])
+            # row i's own child stream, SeedSequence(seed).spawn(steps)[i], built per row
+            count, _ = sample_outcomes(p_par, args.mc_n, np.random.SeedSequence(args.seed, spawn_key=(i,)))
             row.append(count / args.mc_n)
         rows.append(row)
     if args.format == "json":

@@ -15,26 +15,27 @@ Cc/Cs are the doubled-angle Fourier coefficients
     Cc(f) = integral f(phi) cos(2 phi) d(phi)/pi,
     Cs(f) = integral f(phi) sin(2 phi) d(phi)/pi.
 
-Functions enter either as finite Fourier series (closed-form coefficients)
-or as callables sampled on a uniform periodic grid: the equal-weight
-rectangle rule on [0, 2*pi) is spectrally accurate and exact for
-trigonometric polynomials of degree < n/2.
+Functions enter as finite Fourier series or Borel sets (coefficients in
+closed form) or as callables sampled on a uniform periodic grid: the
+equal-weight rectangle rule on [0, 2*pi) is spectrally accurate and exact
+for trigonometric polynomials of degree < n/2.
 
-Restricting the map to characteristic functions of Borel sets yields the
-POVM F(interval) = integral_over_interval rho d(phi)/pi, computed here
-from exact antiderivatives so that additivity holds to the bit.
+The resolution of the identity is A_1 = I, and restricting the map to
+characteristic functions of Borel sets yields the POVM F(delta) =
+integral_over_delta rho d(phi)/pi, additive up to rounding in the last bits.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
 
-from .states import SIGMA1, SIGMA3, TWO_PI, DensityParams, check_range, density_matrix, wrap_orientation
+from .states import TWO_PI, DensityParams, check_range, density_matrix, wrap_orientation
 
 #: Default number of quadrature nodes for sampled functions.
 DEFAULT_SAMPLES = 1024
@@ -110,20 +111,62 @@ def _harmonic_index(k) -> int:
     return index
 
 
-#: A function on [0, 2*pi): a finite Fourier series, or a callable sampled
-#: on the quadrature grid.  Callables must accept numpy arrays of angles.
-CircleFunction = Union[FourierSeries, Callable[[np.ndarray], np.ndarray]]
+@dataclass(frozen=True)
+class BorelSet:
+    """Finite union of disjoint half-open intervals [a, b) inside [0, 2*pi)."""
+
+    intervals: tuple[tuple[float, float], ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        cleaned = tuple((float(a), float(b)) for a, b in self.intervals)
+        for a, b in cleaned:
+            if not 0.0 <= a <= b <= TWO_PI:
+                raise ValueError(
+                    f"interval [{a}, {b}) must satisfy 0 <= a <= b <= 2*pi"
+                )
+        ordered = sorted(cleaned)
+        for (_, b_prev), (a_next, _) in zip(ordered, ordered[1:]):
+            if a_next < b_prev:
+                raise ValueError("intervals overlap; a Borel set needs disjoint pieces")
+        object.__setattr__(self, "intervals", cleaned)
+
+    @classmethod
+    def full_circle(cls) -> "BorelSet":
+        return cls(((0.0, TWO_PI),))
+
+    @property
+    def measure(self) -> float:
+        return sum(b - a for a, b in self.intervals)
+
+
+#: A function on [0, 2*pi): a finite Fourier series, a Borel set (its characteristic
+#: function), or a callable sampled on the quadrature grid that accepts arrays.
+CircleFunction = Union[FourierSeries, BorelSet, Callable[[np.ndarray], np.ndarray]]
+
+
+def _json_numbers(obj: dict, names: tuple[str, ...], keys: tuple[str, ...]) -> list:
+    """The numbers obj[name], 0.0 where absent; keys not in ``keys`` and non-numbers are refused."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}; expected {', '.join(keys)}")
+    values = [obj.get(name, 0.0) for name in names]
+    for name, value in zip(names, values):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"coefficient {name!r} must be a number, got {value!r}")
+    return values
 
 
 def fourier_series_from_json(data) -> FourierSeries:
     """Parse {"a0": number, "terms": [{"k": int, "ak": number, "bk": number}]}.
 
-    Accepts a dict or a JSON string; missing coefficients default to 0.
+    Accepts a dict or a JSON string; missing coefficients default to 0,
+    unknown keys and coefficients that are not numbers are refused.
     """
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("Fourier series JSON must be an object")
+    (a0,) = _json_numbers(data, ("a0",), ("a0", "terms"))
     terms = data.get("terms", [])
     if not isinstance(terms, list):
         raise ValueError('"terms" must be a list of {k, ak, bk} objects')
@@ -131,8 +174,8 @@ def fourier_series_from_json(data) -> FourierSeries:
     for entry in terms:
         if not isinstance(entry, dict) or "k" not in entry:
             raise ValueError('each term needs at least a "k" harmonic index')
-        parsed.append((entry["k"], entry.get("ak", 0.0), entry.get("bk", 0.0)))
-    return FourierSeries(data.get("a0", 0.0), tuple(parsed))
+        parsed.append((entry["k"], *_json_numbers(entry, ("ak", "bk"), ("k", "ak", "bk"))))
+    return FourierSeries(a0, tuple(parsed))
 
 
 def fourier_series_to_json(series: FourierSeries) -> dict:
@@ -161,30 +204,32 @@ def _quadrature_grid(n_samples: int) -> np.ndarray:
     return np.arange(n_samples) * (TWO_PI / n_samples)
 
 
-def _sample(rule: Callable, phis: np.ndarray) -> np.ndarray:
+def fourier_coefficients(f: CircleFunction, n_samples: int = DEFAULT_SAMPLES) -> FourierData:
+    """Mean and doubled-angle coefficients of a circle function.
+
+    Fourier series are read off in closed form (mean = a0, cc = a2,
+    cs = b2), Borel sets from the antiderivatives of 1, cos(2 phi) and
+    sin(2 phi); only callables are sampled, with the n_samples-point
+    rectangle rule, exact for trigonometric polynomials of degree < n_samples/2.
+    """
+    check_range(n_samples, f"n_samples must be at least {MIN_SAMPLES}", MIN_SAMPLES)
+    if isinstance(f, FourierSeries):
+        a2, b2 = f.coefficient(2)
+        return FourierData(f.a0, a2, b2)
+    if isinstance(f, BorelSet):
+        return FourierData(
+            f.measure / TWO_PI,
+            sum(math.sin(2.0 * b) - math.sin(2.0 * a) for a, b in f.intervals) / TWO_PI,
+            sum(math.cos(2.0 * a) - math.cos(2.0 * b) for a, b in f.intervals) / TWO_PI,
+        )
+    phis = _quadrature_grid(n_samples)
     try:
-        vals = np.asarray(rule(phis), dtype=float)
+        vals = np.asarray(f(phis), dtype=float)
     except (TypeError, ValueError):
         vals = None
     if vals is None or vals.shape != phis.shape:
         # scalar-only callable: fall back to a point-by-point evaluation
-        vals = np.array([float(rule(p)) for p in phis])
-    return vals
-
-
-def fourier_coefficients(f: CircleFunction, n_samples: int = DEFAULT_SAMPLES) -> FourierData:
-    """Mean and doubled-angle coefficients of a circle function.
-
-    Fourier-series inputs are read off in closed form (mean = a0,
-    cc = a2, cs = b2); callables are integrated with the n_samples-point
-    rectangle rule, exact for trigonometric polynomials of degree
-    < n_samples/2.
-    """
-    phis = _quadrature_grid(n_samples)  # checks n_samples for closed-form inputs too
-    if isinstance(f, FourierSeries):
-        a2, b2 = f.coefficient(2)
-        return FourierData(f.a0, a2, b2)
-    vals = _sample(f, phis)
+        vals = np.array([float(f(p)) for p in phis])
     # d(phi)/(2 pi) for the mean, d(phi)/pi for the doubled-angle pair
     mean = float(vals.mean())
     cc = float(2.0 * (vals * np.cos(2.0 * phis)).mean())
@@ -203,7 +248,8 @@ def quantize(
     A_f = <f> I + (r/2) [Cc' SIGMA3 + Cs' SIGMA1], where (Cc', Cs') are
     the doubled-angle coefficients of f(phi - phi0), i.e. the (cc, cs)
     pair of f rotated by 2*phi0.  The output is symmetric and linear in f;
-    the constant function 1 maps to the identity for every (r, phi0).
+    the constant function 1 maps to the identity for every (r, phi0), and
+    a BorelSet to its POVM element.
     """
     check_range(r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
     # the family is pi-periodic in phi0: reduce it before doubling, so a huge offset stays finite
@@ -224,21 +270,12 @@ def quantize(
 def identity_residual(r: float, phi0: float, n_samples: int = DEFAULT_SAMPLES) -> float:
     """Max-abs entry of (integral rho(r, phi + phi0) d(phi)/pi  -  I).
 
-    Evaluated with the rectangle rule on ``n_samples`` nodes from the
-    closed-form density entries, vectorized over the nodes; the exact
-    integral is the identity, so the residual probes quadrature plus
-    rounding only (expected ~1e-16).  phi0 is reduced mod pi first (the
-    family is pi-periodic), so a huge offset loses no digits.
+    The integral is the quantization of the constant 1, exactly I.  The
+    constant is sampled on ``n_samples`` nodes, so the residual probes the
+    rectangle rule and rounding (~1e-16); a FourierSeries constant is read
+    off in closed form and would give an exact 0.
     """
-    check_range(r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
-    phi0 = wrap_orientation(check_range(phi0, "orientation offset phi0 must be finite"))
-    # rho(r, theta) = 1/2 I + (r/2) [cos(2 theta) SIGMA3 + sin(2 theta) SIGMA1]:
-    # the node sum is n/2 I plus the summed doubled-angle entries
-    theta2 = 2.0 * (phi0 + _quadrature_grid(n_samples))
-    cc = 0.5 * r * float(np.cos(theta2).sum())
-    cs = 0.5 * r * float(np.sin(theta2).sum())
-    acc = 0.5 * n_samples * np.eye(2) + cc * SIGMA3 + cs * SIGMA1
-    return float(np.abs(acc * (2.0 / n_samples) - np.eye(2)).max())
+    return float(np.abs(quantize(np.ones_like, r, phi0, n_samples) - np.eye(2)).max())
 
 
 def commutator_e1_e2(r: float, phi0: float) -> np.ndarray:
@@ -287,48 +324,11 @@ def superposition_density(
     return SuperpositionResult(acc * (2.0 / n_samples), min_weight >= 0.0, min_weight)
 
 
-@dataclass(frozen=True)
-class BorelSet:
-    """Finite union of disjoint half-open intervals [a, b) inside [0, 2*pi)."""
-
-    intervals: tuple[tuple[float, float], ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        cleaned = tuple((float(a), float(b)) for a, b in self.intervals)
-        for a, b in cleaned:
-            if not 0.0 <= a <= b <= TWO_PI:
-                raise ValueError(
-                    f"interval [{a}, {b}) must satisfy 0 <= a <= b <= 2*pi"
-                )
-        ordered = sorted(cleaned)
-        for (_, b_prev), (a_next, _) in zip(ordered, ordered[1:]):
-            if a_next < b_prev:
-                raise ValueError("intervals overlap; a Borel set needs disjoint pieces")
-        object.__setattr__(self, "intervals", cleaned)
-
-    @classmethod
-    def full_circle(cls) -> "BorelSet":
-        return cls(((0.0, TWO_PI),))
-
-    @property
-    def measure(self) -> float:
-        return sum(b - a for a, b in self.intervals)
-
-
 def povm_element(delta: BorelSet, r: float, phi0: float) -> np.ndarray:
     """POVM value F(delta) = integral over delta of rho(r, phi + phi0) d(phi)/pi.
 
-    Positive semidefinite, additive over disjoint sets, and equal to the
-    identity on the full circle.  Each interval is integrated from the
-    exact antiderivative of the density entries, so additivity is
-    bit-stable.
+    The quantization of the characteristic function of ``delta``: positive
+    semidefinite, the identity on the full circle, and additive over
+    disjoint sets up to rounding in the last bits.
     """
-    check_range(r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
-    check_range(phi0, "orientation offset phi0 must be finite")
-    out = np.zeros((2, 2))
-    for a, b in delta.intervals:
-        c_term = math.sin(2.0 * (b + phi0)) - math.sin(2.0 * (a + phi0))
-        s_term = math.cos(2.0 * (a + phi0)) - math.cos(2.0 * (b + phi0))
-        out += ((b - a) / TWO_PI) * np.eye(2)
-        out += (r / (4.0 * math.pi)) * (c_term * SIGMA3 + s_term * SIGMA1)
-    return out
+    return quantize(delta, r, phi0)

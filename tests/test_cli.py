@@ -105,6 +105,29 @@ def test_quantize_non_integer_harmonic_exits_2(capsys):
     assert err == "error: malformed Fourier series: harmonic indices k must be integers, got 2.7\n"
 
 
+@pytest.mark.parametrize(
+    "series,reason",
+    [
+        ('{"a0": "1"}', "coefficient 'a0' must be a number, got '1'"),
+        ('{"a0": true}', "coefficient 'a0' must be a number, got True"),
+        ('{"ao": 1}', "unknown key 'ao'; expected a0, terms"),
+    ],
+)
+def test_quantize_refuses_non_numbers_and_unknown_keys(capsys, series, reason):
+    code, out, err = run(capsys, "quantize", series, "--r", "0.5", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed Fourier series: {reason}\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_quantize_samples_do_not_touch_a_series(capsys, fmt):
+    # a Fourier series is quantized in closed form: no grid, whatever --samples says
+    series = '{"a0": 1, "terms": [{"k": 2, "ak": 0.5}]}'
+    expected = run(capsys, "quantize", series, "--r", "0.5", "--format", fmt, "--samples", "1024")
+    assert expected[0] == 0
+    assert run(capsys, "quantize", series, "--r", "0.5", "--format", fmt, "--samples", str(10**18)) == expected
+
+
 def test_quantize_degrees_flag(capsys):
     series = '{"a0": 0, "terms": [{"k": 2, "ak": 1}]}'
     code, out, _ = run(capsys, "quantize", series, "--r", "1", "--phi0", "45", "--degrees")
@@ -182,8 +205,9 @@ _UNALLOCATABLE = str(10**18)
         ["bell-scan", "--zeta-steps", _UNALLOCATABLE, "--eta-steps", "2"],
         ["correlate", "--model", "sign-cos", "--phi-a", "0", "--phi-b", "1", "--n-nodes", _UNALLOCATABLE],
         ["identity-check", "--r", "0.5", "--samples", _UNALLOCATABLE],
+        ["malus", "--r0", "0.5", "--steps", _UNALLOCATABLE, "--mc-n", "1"],
     ],
-    ids=["bell-scan", "correlate", "identity-check"],
+    ids=["bell-scan", "correlate", "identity-check", "malus-mc"],
 )
 def test_unallocatable_size_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -82,6 +82,26 @@ def test_series_json_round_trip():
         fourier_series_from_json('[1, 2]')
     with pytest.raises(ValueError):
         fourier_series_from_json('{"terms": [{"ak": 1.0}]}')
+    # the series itself still takes numpy scalars
+    assert FourierSeries(np.int64(1)) == FourierSeries.constant(1.0)
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ('{"a0": "1"}', "coefficient 'a0' must be a number, got '1'"),
+        ('{"a0": true}', "coefficient 'a0' must be a number, got True"),
+        ('{"a0": null}', "coefficient 'a0' must be a number, got None"),
+        ('{"terms": [{"k": 2, "ak": "0.5"}]}', "coefficient 'ak' must be a number, got '0.5'"),
+        ('{"terms": [{"k": 2, "bk": false}]}', "coefficient 'bk' must be a number, got False"),
+        ('{"ao": 1}', "unknown key 'ao'; expected a0, terms"),
+        ('{"terms": [{"k": 2, "a": 1}]}', "unknown key 'a'; expected k, ak, bk"),
+    ],
+)
+def test_series_json_refuses_unknown_keys_and_non_numbers(text, reason):
+    with pytest.raises(ValueError) as excinfo:
+        fourier_series_from_json(text)
+    assert str(excinfo.value) == reason
 
 
 def test_fourier_coefficients_constant():
@@ -119,6 +139,20 @@ def test_fourier_coefficients_rejects_small_grids():
         fourier_coefficients(lambda p: np.cos(p), 7)
     with pytest.raises(ValueError, match="at least 8"):
         fourier_coefficients(FourierSeries.constant(1.0), 4)
+    with pytest.raises(ValueError, match="at least 8"):
+        fourier_coefficients(BorelSet.full_circle(), 4)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [FourierSeries(0.3, ((2, 1.5, -0.4), (8, 0.2, 0.9))), BorelSet(((0.5, 2.0), (3.0, 4.5)))],
+    ids=["series", "borel-set"],
+)
+def test_closed_form_inputs_build_no_grid(f):
+    # 10**18 nodes cannot be allocated: only a callable is ever sampled
+    huge = 10**18
+    assert fourier_coefficients(f, huge) == fourier_coefficients(f, 8)
+    assert np.array_equal(quantize(f, 0.9, 0.6, huge), quantize(f, 0.9, 0.6))
 
 
 @settings(max_examples=50)
@@ -361,6 +395,32 @@ def test_povm_additive_and_positive(cuts, r, phi0):
     total = sum(povm_element(BorelSet((p,)), r, phi0) for p in pieces)
     assert_allclose(union, total, atol=1e-12)
     assert np.linalg.eigvalsh(union).min() >= -1e-12
+
+
+def per_interval_povm(delta, r, phi0):
+    # reference: the exact antiderivative of the density entries, interval by interval
+    out = np.zeros((2, 2))
+    for a, b in delta.intervals:
+        c_term = math.sin(2.0 * (b + phi0)) - math.sin(2.0 * (a + phi0))
+        s_term = math.cos(2.0 * (a + phi0)) - math.cos(2.0 * (b + phi0))
+        out += ((b - a) / TWO_PI) * np.eye(2)
+        out += (r / (4.0 * math.pi)) * (c_term * SIGMA3 + s_term * SIGMA1)
+    return out
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=TWO_PI), max_size=8),
+    mixings,
+    angles,
+)
+def test_povm_is_quantization_of_indicator(cuts, r, phi0):
+    edges = sorted(set(cuts))
+    # every other gap between the cuts, so the pieces are disjoint and not always touching
+    delta = BorelSet(tuple(zip(edges[::2], edges[1::2])))
+    element = povm_element(delta, r, phi0)
+    assert np.array_equal(element, quantize(delta, r, phi0))
+    assert_allclose(element, per_interval_povm(delta, r, phi0), rtol=0, atol=1e-15)
 
 
 def test_povm_monotone_positivity_on_intervals():

@@ -203,6 +203,15 @@ def test_identity_residual_reduces_huge_offsets(phi0):
     assert identity_residual(0.7, phi0) < 1e-15
 
 
+@pytest.mark.parametrize("phi0", [1e10, -1e10, 5e307, 1e308, -1e308])
+def test_povm_element_reduces_huge_offsets(phi0):
+    # a POVM element is a quantization, so it is pi-periodic in phi0 as well
+    delta = BorelSet(((0.0, 1.0), (2.5, 4.0)))
+    np.testing.assert_allclose(
+        povm_element(delta, 0.5, phi0), povm_element(delta, 0.5, phi0 % math.pi), rtol=0, atol=1e-12
+    )
+
+
 @pytest.mark.parametrize("phi", [1e10, -1e10, 5e307, 1e308, -1e308])
 def test_outcome_probability_reduces_huge_polarizer_angles(phi):
     # cos 2(phi - phi0) is pi-periodic in phi, so phi and phi mod pi give the same values
