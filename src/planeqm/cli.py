@@ -22,6 +22,7 @@ import numpy as np
 
 from .bell import (
     BUILTIN_MODELS,
+    DEFAULT_NODES,
     baby_bell_check,
     check_angle_sums,
     quantum_correlation,
@@ -30,7 +31,9 @@ from .bell import (
 )
 from .isomorphisms import bell_basis_matrix, cat, coherent_to_tensor, flip, DOWN, UP
 from .measurement import PARALLEL, outcome_probability, sample_outcomes
-from .quantization import MIN_SAMPLES, fourier_coefficients, fourier_series_from_json, identity_residual, quantize
+from .quantization import (
+    DEFAULT_SAMPLES, MIN_SAMPLES, fourier_coefficients, fourier_series_from_json, identity_residual, quantize
+)
 from .states import DensityParams, check_range
 
 
@@ -75,17 +78,17 @@ def _emit_csv(header: list[str], rows: list[list], output: Optional[str]) -> Non
     _emit("\n".join([",".join(header), *(",".join(map(_fmt, row)) for row in rows), ""]), output)
 
 
-def _angle(value: float, args) -> float:
-    return math.radians(value) if args.degrees else value
+#: The argparse type of an angle flag, turned into radians by _validate_common (a
+#: default does not pass through it); named so that argparse says "invalid float value".
+_Angle = type("float", (float,), {})
 
 
 def _validate_common(args) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite")
-    check_range(args.samples, f"--samples must be at least {MIN_SAMPLES}", MIN_SAMPLES)
-    check_range(args.seed, "--seed must be non-negative", 0)
-    check_range(args.tolerance, "--tolerance must be positive", math.ulp(0.0))
+        if isinstance(value, _Angle):
+            setattr(args, name, math.radians(value) if args.degrees else float(value))
 
 
 def _complex_vec(z: np.ndarray) -> list[list[float]]:
@@ -110,7 +113,7 @@ def _cmd_quantize(args) -> int:
         raise _InputError(f"malformed Fourier series: {exc}") from exc
 
     data = fourier_coefficients(series)
-    matrix = quantize(series, args.r, _angle(args.phi0, args), args.samples)
+    matrix = quantize(series, args.r, args.phi0)
     if args.format == "csv":
         header = ["mean", "cc", "cs", "a11", "a12", "a21", "a22"]
         row = [data.mean, data.cc, data.cs, *[float(v) for v in matrix.ravel()]]
@@ -124,11 +127,13 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_identity_check(args) -> int:
-    residual = identity_residual(args.r, _angle(args.phi0, args), args.samples)
+    check_range(args.samples, f"--samples must be at least {MIN_SAMPLES}", MIN_SAMPLES)
+    check_range(args.tolerance, "--tolerance must be positive", math.ulp(0.0))
+    residual = identity_residual(args.r, args.phi0, args.samples)
     passed = residual < args.tolerance
     payload = {
         "r": args.r,
-        "phi0": _angle(args.phi0, args),
+        "phi0": args.phi0,
         "samples": args.samples,
         "residual": residual,
         "tolerance": args.tolerance,
@@ -141,33 +146,50 @@ def _cmd_identity_check(args) -> int:
     return 0 if passed else 1
 
 
+#: Grid points per output block of bell-scan, rounded down to whole zeta rows
+#: (at least one), and rows per block of malus: the arrays and formatted text
+#: held at once are bounded by one block.
+_SCAN_BLOCK_POINTS = 2048
+
+
 def _cmd_malus(args) -> int:
+    check_range(args.seed, "--seed must be non-negative", 0)
     check_range(args.steps, "--steps must be at least 2", 2)
     if args.mc_n is not None:
         check_range(args.mc_n, "--mc-n must be positive", 1)
-    light = DensityParams(args.r0, _angle(args.phi0, args))
+    light = DensityParams(args.r0, args.phi0)
+    phis = np.linspace(0.0, math.pi, args.steps)
     header = ["phi", "p_parallel", "p_perpendicular"]
     if args.mc_n is not None:
         header.append("mc_freq")
-    rows = []
-    for i, phi in enumerate(np.linspace(0.0, math.pi, args.steps)):
-        p_par = outcome_probability(light, float(phi), PARALLEL)
-        row = [float(phi), p_par, 1.0 - p_par]
-        if args.mc_n is not None:
-            # row i's own child stream, SeedSequence(seed).spawn(steps)[i], built per row
-            count, _ = sample_outcomes(p_par, args.mc_n, np.random.SeedSequence(args.seed, spawn_key=(i,)))
-            row.append(count / args.mc_n)
-        rows.append(row)
+
+    def block(start: int) -> str:
+        """The rows of one output block from row ``start`` on, with no separator after the last."""
+        rows = []
+        for i, phi in enumerate(phis[start : start + _SCAN_BLOCK_POINTS].tolist(), start):
+            p_par = outcome_probability(light, phi, PARALLEL)
+            row = [phi, p_par, 1.0 - p_par]
+            if args.mc_n is not None:
+                # row i's own child stream, SeedSequence(seed).spawn(steps)[i], built per row
+                count, _ = sample_outcomes(p_par, args.mc_n, np.random.SeedSequence(args.seed, spawn_key=(i,)))
+                row.append(count / args.mc_n)
+            rows.append(row)
+        if args.format == "json":
+            # the items of json.dumps(all rows, indent=2), without its brackets
+            return json.dumps([dict(zip(header, row)) for row in rows], indent=2, allow_nan=False)[2:-2]
+        return "\n".join(",".join(map(_fmt, row)) for row in rows)
+
     if args.format == "json":
-        _emit_json([dict(zip(header, row)) for row in rows], args.output)
+        head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
-        _emit_csv(header, rows, args.output)
+        head, sep, tail = ",".join(header) + "\n", "\n", "\n"
+    # the first block before the output is opened, so a draw that fails writes nothing
+    first = head + block(0)
+    rest = (sep + block(start) for start in range(_SCAN_BLOCK_POINTS, args.steps, _SCAN_BLOCK_POINTS))
+    _emit(itertools.chain((first,), rest, (tail,)), args.output)
     return 0
 
 
-#: Grid points per block of bell-scan, rounded down to whole zeta rows (at
-#: least one): the arrays and formatted text held at once are bounded by one block.
-_SCAN_BLOCK_POINTS = 2048
 _SCAN_FIELDS = ("zeta", "eta", "lhs", "rhs", "violated", "margin")
 #: A scan point in each format: a template with one %s per field, in
 #: _SCAN_FIELDS order, and the text between two points.  Both formats write
@@ -232,16 +254,12 @@ def _scan_text(zetas, etas, head: str, template: str, point_sep: str, tail):
 
 
 def _cmd_bell_scan(args) -> int:
-    if args.zeta_steps < 1 or args.eta_steps < 1:
-        raise ValueError("--zeta-steps and --eta-steps must be at least 1")
-    zeta_lo, eta_lo = _angle(args.zeta_min, args), _angle(args.eta_min, args)
-    # the upper defaults are pi/2 radians, whatever unit --degrees selects
-    zeta_hi = math.pi / 2.0 if args.zeta_max is None else _angle(args.zeta_max, args)
-    eta_hi = math.pi / 2.0 if args.eta_max is None else _angle(args.eta_max, args)
+    check_range(args.zeta_steps, "--zeta-steps must be at least 1", 1)
+    check_range(args.eta_steps, "--eta-steps must be at least 1", 1)
     # a range wider than the largest float gives NaN nodes, which the check refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        zetas = np.linspace(zeta_lo, zeta_hi, args.zeta_steps)
-        etas = np.linspace(eta_lo, eta_hi, args.eta_steps)
+        zetas = np.linspace(args.zeta_min, args.zeta_max, args.zeta_steps)
+        etas = np.linspace(args.eta_min, args.eta_max, args.eta_steps)
     # the whole grid, before any output: the blocks are evaluated while writing
     check_angle_sums(zetas, etas)
     if args.format == "json":
@@ -253,9 +271,6 @@ def _cmd_bell_scan(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    phi_a, phi_b = _angle(args.phi_a, args), _angle(args.phi_b, args)
-    phi_c = _angle(args.phi_c, args) if args.phi_c is not None else None
-
     if args.model == "quantum":
         def correlation(x, y):
             return quantum_correlation(x, y)
@@ -264,14 +279,14 @@ def _cmd_correlate(args) -> int:
         def correlation(x, y):
             return singlet_correlation(model, x, y, args.n_nodes)
 
-    payload: dict = {"model": args.model, "phi_a": phi_a, "phi_b": phi_b}
+    payload: dict = {"model": args.model, "phi_a": args.phi_a, "phi_b": args.phi_b}
     if args.model != "quantum":
         payload["n_nodes"] = args.n_nodes
-    payload["p_ab"] = correlation(phi_a, phi_b)
-    if phi_c is not None:
-        payload["phi_c"] = phi_c
-        payload["p_ac"] = correlation(phi_a, phi_c)
-        payload["p_bc"] = correlation(phi_b, phi_c)
+    payload["p_ab"] = correlation(args.phi_a, args.phi_b)
+    if args.phi_c is not None:
+        payload["phi_c"] = args.phi_c
+        payload["p_ac"] = correlation(args.phi_a, args.phi_c)
+        payload["p_bc"] = correlation(args.phi_b, args.phi_c)
         report = baby_bell_check(payload["p_ab"], payload["p_ac"], payload["p_bc"])
         payload.update(
             {"lhs": report.lhs, "rhs": report.rhs, "violated": report.violated, "margin": report.margin}
@@ -284,16 +299,15 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_coherent(args) -> int:
-    theta, phi = _angle(args.theta, args), _angle(args.phi, args)
-    tensor = coherent_to_tensor(theta, phi)
+    tensor = coherent_to_tensor(args.theta, args.phi)
     if args.format == "csv":
         _emit_csv(
             ["theta", "phi", "t0", "t1", "t2", "t3"],
-            [[theta, phi, *[float(v) for v in tensor]]],
+            [[args.theta, args.phi, *[float(v) for v in tensor]]],
             args.output,
         )
     else:
-        _emit_json({"theta": theta, "phi": phi, "tensor": tensor.tolist()}, args.output)
+        _emit_json({"theta": args.theta, "phi": args.phi, "tensor": tensor.tolist()}, args.output)
     return 0
 
 
@@ -324,9 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     process share it.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--samples", type=int, default=1024, help="quadrature nodes (default 1024)")
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument("--tolerance", type=float, default=1e-12, help="check tolerance (default 1e-12)")
     common.add_argument("--output", default=None, help="write to this file instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
     common.add_argument("--degrees", action="store_true", help="interpret angle inputs as degrees")
@@ -340,41 +351,45 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", parents=[common], help="quantize a Fourier series on the circle")
     p.add_argument("fourier", help='inline JSON {"a0": ..., "terms": [...]} or a path to it')
     p.add_argument("--r", type=float, required=True, help="degree of mixing of the kernel family")
-    p.add_argument("--phi0", type=float, default=0.0, help="kernel orientation offset")
+    p.add_argument("--phi0", type=_Angle, default=0.0, help="kernel orientation offset")
     p.set_defaults(handler=_cmd_quantize)
 
     p = sub.add_parser("identity-check", parents=[common], help="residual of the resolution of the identity")
+    # --tolerance before --r and --phi0: the first non-finite float flag is the one reported
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="quadrature nodes (default %(default)s)")
+    p.add_argument("--tolerance", type=float, default=1e-12, help="check tolerance (default 1e-12)")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--phi0", type=float, default=0.0)
+    p.add_argument("--phi0", type=_Angle, default=0.0)
     p.set_defaults(handler=_cmd_identity_check)
 
     p = sub.add_parser("malus", parents=[common], help="transmission probabilities over a polarizer-angle grid")
     p.add_argument("--r0", type=float, required=True, help="light polarization degree")
-    p.add_argument("--phi0", type=float, default=0.0, help="light orientation")
+    p.add_argument("--phi0", type=_Angle, default=0.0, help="light orientation")
     p.add_argument("--steps", type=int, required=True, help="grid points over [0, pi]")
     p.add_argument("--mc-n", type=int, default=None, help="add a Monte-Carlo frequency column with n draws per row")
+    p.add_argument("--seed", type=int, default=0, help="random seed of the --mc-n draws (default 0)")
     p.set_defaults(handler=_cmd_malus)
 
     p = sub.add_parser("bell-scan", parents=[common], help="scan the correlation bound over (zeta, eta)")
     p.add_argument("--zeta-steps", type=int, required=True)
     p.add_argument("--eta-steps", type=int, required=True)
-    p.add_argument("--zeta-min", type=float, default=0.0)
-    p.add_argument("--zeta-max", type=float, default=None)
-    p.add_argument("--eta-min", type=float, default=0.0)
-    p.add_argument("--eta-max", type=float, default=None)
+    p.add_argument("--zeta-min", type=_Angle, default=0.0)
+    p.add_argument("--zeta-max", type=_Angle, default=math.pi / 2, help="default pi/2 radians, even with --degrees")
+    p.add_argument("--eta-min", type=_Angle, default=0.0)
+    p.add_argument("--eta-max", type=_Angle, default=math.pi / 2, help="default pi/2 radians, even with --degrees")
     p.set_defaults(handler=_cmd_bell_scan)
 
     p = sub.add_parser("correlate", parents=[common], help="quantum or hidden-variable pair correlations")
-    p.add_argument("--phi-a", type=float, required=True)
-    p.add_argument("--phi-b", type=float, required=True)
-    p.add_argument("--phi-c", type=float, default=None, help="third angle: also check the Bell bound")
+    p.add_argument("--phi-a", type=_Angle, required=True)
+    p.add_argument("--phi-b", type=_Angle, required=True)
+    p.add_argument("--phi-c", type=_Angle, help="third angle: also check the Bell bound")
     p.add_argument("--model", choices=("quantum", *BUILTIN_MODELS), default="quantum")
-    p.add_argument("--n-nodes", type=int, default=4096, help="hidden-variable quadrature nodes")
+    p.add_argument("--n-nodes", type=int, default=DEFAULT_NODES, help="hidden-variable quadrature nodes")
     p.set_defaults(handler=_cmd_correlate)
 
     p = sub.add_parser("coherent", parents=[common], help="coherent state as an entangled plane pair")
-    p.add_argument("--theta", type=float, required=True, help="colatitude in [0, pi]")
-    p.add_argument("--phi", type=float, required=True, help="azimuth")
+    p.add_argument("--theta", type=_Angle, required=True, help="colatitude in [0, pi]")
+    p.add_argument("--phi", type=_Angle, required=True, help="azimuth")
     p.set_defaults(handler=_cmd_coherent)
 
     p = sub.add_parser("iso-demo", parents=[common], help="Bell change of basis and flip/cat action table")

@@ -33,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bell import BellKind, bell_state
 from .states import check_range
 
 UP = np.array([1.0 + 0.0j, 0.0 + 0.0j])
@@ -89,14 +90,7 @@ def bell_basis_matrix() -> np.ndarray:
     to (x1, x2, y1, y2); its k-th column is the real-structure image of the
     k-th Bell state.
     """
-    return np.array(
-        [
-            [1.0, 1.0, 0.0, 0.0],
-            [-1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, -1.0],
-            [0.0, 0.0, 1.0, 1.0],
-        ]
-    ) / math.sqrt(2.0)
+    return np.column_stack([real_structure_coords(tensor_to_complex(bell_state(kind))) for kind in BellKind])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 from planeqm import cli
 from planeqm.bell import sin_inequality, violation_scan
 from planeqm.cli import main
+from planeqm.measurement import PARALLEL, outcome_probability, sample_outcomes
+from planeqm.states import DensityParams
 
 SQ2 = math.sqrt(2.0)
 
@@ -18,6 +20,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class RecordingStream:
+    """A write-only stdout stand-in that keeps each write as one chunk."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +131,26 @@ def test_quantize_refuses_non_numbers_and_unknown_keys(capsys, series, reason):
     assert err == f"error: malformed Fourier series: {reason}\n"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_quantize_samples_do_not_touch_a_series(capsys, fmt):
-    # a Fourier series is quantized in closed form: no grid, whatever --samples says
-    series = '{"a0": 1, "terms": [{"k": 2, "ak": 0.5}]}'
-    expected = run(capsys, "quantize", series, "--r", "0.5", "--format", fmt, "--samples", "1024")
-    assert expected[0] == 0
-    assert run(capsys, "quantize", series, "--r", "0.5", "--format", fmt, "--samples", str(10**18)) == expected
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quantize", '{"a0": 1}', "--r", "0.5", "--samples", "1024"],
+        ["quantize", '{"a0": 1}', "--r", "0.5", "--tolerance", "1e-12"],
+        ["bell-scan", "--zeta-steps", "2", "--eta-steps", "2", "--seed", "1"],
+        ["coherent", "--theta", "1", "--phi", "0", "--tolerance", "1"],
+        ["correlate", "--phi-a", "0", "--phi-b", "1", "--samples", "8"],
+        ["identity-check", "--r", "0.5", "--seed", "0"],
+        ["malus", "--r0", "1", "--steps", "3", "--samples", "1024"],
+        ["iso-demo", "--seed", "0"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flag_of_another_command_exits_2(capsys, argv):
+    # --samples and --tolerance belong to identity-check alone, --seed to malus alone
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
+    assert "Traceback" not in err
 
 
 def test_quantize_degrees_flag(capsys):
@@ -206,8 +231,10 @@ _UNALLOCATABLE = str(10**18)
         ["correlate", "--model", "sign-cos", "--phi-a", "0", "--phi-b", "1", "--n-nodes", _UNALLOCATABLE],
         ["identity-check", "--r", "0.5", "--samples", _UNALLOCATABLE],
         ["malus", "--r0", "0.5", "--steps", _UNALLOCATABLE, "--mc-n", "1"],
+        ["malus", "--r0", "0.5", "--steps", "3", "--mc-n", _UNALLOCATABLE, "--format", "csv"],
+        ["malus", "--r0", "0.5", "--steps", "3", "--mc-n", _UNALLOCATABLE, "--format", "json"],
     ],
-    ids=["bell-scan", "correlate", "identity-check", "malus-mc"],
+    ids=["bell-scan", "correlate", "identity-check", "malus-mc", "malus-draws-csv", "malus-draws-json"],
 )
 def test_unallocatable_size_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -263,6 +290,59 @@ def test_malus_invalid_steps_exits_3(capsys):
 def test_malus_invalid_mixing_exits_3(capsys):
     code, _, _ = run(capsys, "malus", "--r0", "1.5", "--steps", "4")
     assert code == 3
+
+
+def reference_malus(r0, steps, mc_n, seed, fmt):
+    """malus output built whole: every row first, then one json.dumps or one CSV join."""
+    light = DensityParams(r0, 0.0)
+    header = ["phi", "p_parallel", "p_perpendicular"] + (["mc_freq"] if mc_n else [])
+    rows = []
+    streams = np.random.SeedSequence(seed).spawn(steps)
+    for phi, stream in zip(np.linspace(0.0, math.pi, steps).tolist(), streams):
+        p_par = outcome_probability(light, phi, PARALLEL)
+        row = [phi, p_par, 1.0 - p_par]
+        if mc_n:
+            count, _ = sample_outcomes(p_par, mc_n, stream)
+            row.append(count / mc_n)
+        rows.append(row)
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    return "\n".join([",".join(header), *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("mc_n", [None, 50])
+@pytest.mark.parametrize("steps", [2, 19, 2 * cli._SCAN_BLOCK_POINTS + 3])
+def test_malus_bytes_match_whole_output_reference(capsys, steps, mc_n, fmt):
+    argv = ["malus", "--r0", "0.6", "--steps", str(steps), "--format", fmt, "--seed", "11"]
+    if mc_n:
+        argv += ["--mc-n", str(mc_n)]
+    assert run(capsys, *argv) == (0, reference_malus(0.6, steps, mc_n, 11, fmt), "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_malus_writes_bounded_blocks(capsys, monkeypatch, tmp_path, fmt):
+    steps = 4 * cli._SCAN_BLOCK_POINTS + 1
+    argv = ["malus", "--r0", "0.3", "--steps", str(steps), "--mc-n", "10", "--format", fmt]
+    stream = RecordingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    code = main(argv)
+    monkeypatch.undo()
+    assert code == 0
+    # rows per chunk: CSV lines (the header rides with the first block), JSON objects
+    rows = [chunk.count("\n") - (i == 0) if fmt == "csv" else chunk.count("{") for i, chunk in enumerate(stream.chunks)]
+    assert sum(rows) == steps
+    assert max(rows) == cli._SCAN_BLOCK_POINTS
+    target = tmp_path / "malus.out"
+    assert main([*argv, "--output", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == "".join(stream.chunks)
+
+
+def test_malus_failing_draw_opens_no_output(capsys, tmp_path):
+    target = tmp_path / "malus.out"
+    argv = ["malus", "--r0", "0.5", "--steps", "3", "--mc-n", _UNALLOCATABLE, "--output", str(target)]
+    assert run(capsys, *argv)[0] == 3
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +488,6 @@ def test_streamed_bell_scan_matches_reference_in_output_file(capsys, tmp_path, s
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_bell_scan_writes_bounded_blocks(capsys, monkeypatch, tmp_path, fmt):
-    class RecordingStream:
-        def __init__(self):
-            self.chunks = []
-
-        def write(self, text):
-            self.chunks.append(text)
-
     argv = ["bell-scan", "--zeta-steps", "301", "--eta-steps", "301", "--format", fmt]
     stream = RecordingStream()
     monkeypatch.setattr(sys, "stdout", stream)
@@ -549,6 +622,26 @@ def test_coherent_degrees(capsys):
     code, out, _ = run(capsys, "coherent", "--theta", "90", "--phi", "90", "--degrees")
     assert code == 0
     assert_allclose(json.loads(out)["tensor"], [SQ2 / 2, 0.0, SQ2 / 2, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["correlate", "--phi-a", "{}", "--phi-b", "0", "--phi-c", "{}"],
+        ["identity-check", "--r", "0.7", "--phi0", "{}"],
+        ["malus", "--r0", "0.8", "--phi0", "{}", "--steps", "7", "--mc-n", "100", "--seed", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_degrees_flag_gives_the_radian_bytes(capsys, argv, fmt):
+    # every given angle turns into radians once, before the command reads it
+    in_degrees = run(capsys, *[a.replace("{}", "45") for a in argv], "--degrees", "--format", fmt)
+    in_radians = run(capsys, *[a.replace("{}", "0.7853981633974483") for a in argv], "--format", fmt)
+    assert in_degrees[0] == 0
+    assert in_degrees == in_radians
+    if argv[0] == "identity-check" and fmt == "json":
+        assert json.loads(in_degrees[1])["phi0"] == math.pi / 4
 
 
 # ---------------------------------------------------------------------------

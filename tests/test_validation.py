@@ -320,10 +320,12 @@ def requests(draw):
     argv = [command, "--format", draw(st.sampled_from(["csv", "json"]))]
     if draw(st.booleans()):
         argv.append("--degrees")
-    argv.append(f"--samples={draw(st.integers(min_value=-2, max_value=4096))}")
-    argv.append(f"--seed={draw(st.integers(min_value=-1, max_value=2**64))}")
-    if draw(st.booleans()):
-        argv += _float_flags(draw, "tolerance")
+    if command == "identity-check":
+        argv.append(f"--samples={draw(st.integers(min_value=-2, max_value=4096))}")
+        if draw(st.booleans()):
+            argv += _float_flags(draw, "tolerance")
+    if command == "malus":
+        argv.append(f"--seed={draw(st.integers(min_value=-1, max_value=2**64))}")
     if command == "quantize":
         series = {"a0": draw(floats), "terms": [{"k": draw(st.integers(1, 4)), "ak": draw(floats), "bk": draw(floats)}]}
         argv.insert(1, json.dumps(series))
