@@ -5,6 +5,12 @@ error (a size too large to allocate included).  Results go to stdout (or
 ``--output``); stderr carries diagnostics only.  All angles are radians
 unless ``--degrees`` is given; outputs are always radians.  Identical
 invocations produce byte-identical output.
+
+Every row is formatted by one writer, :func:`_emit_table`: ``malus`` and
+``bell-scan`` stream theirs as a CSV table (their default) or as JSON,
+block by block; the other commands write one JSON record (their default)
+or a one-row CSV table.  No output is opened before its first block is
+made, so a command that fails there writes nothing.
 """
 
 from __future__ import annotations
@@ -51,9 +57,13 @@ def _fmt(x) -> str:
 
 
 def _emit(chunks, output: Optional[str]) -> None:
-    """Write one string, or an iterable of strings in order, to ``output`` or stdout."""
-    if isinstance(chunks, str):
-        chunks = (chunks,)
+    """Write an iterable of strings in order to ``output`` or stdout.
+
+    The first string is made before the output is opened, so a command
+    whose first block fails writes nothing.
+    """
+    chunks = iter(chunks)
+    chunks = itertools.chain((next(chunks),), chunks)
     try:
         if output:
             with open(output, "w", encoding="utf-8") as fh:
@@ -71,11 +81,49 @@ def _emit(chunks, output: Optional[str]) -> None:
 
 
 def _emit_json(obj, output: Optional[str]) -> None:
-    _emit(json.dumps(obj, indent=2, allow_nan=False) + "\n", output)
+    _emit((json.dumps(obj, indent=2, allow_nan=False) + "\n",), output)
 
 
-def _emit_csv(header: list[str], rows: list[list], output: Optional[str]) -> None:
-    _emit("\n".join([",".join(header), *(",".join(map(_fmt, row)) for row in rows), ""]), output)
+def _emit_table(args, fields, blocks, json_head="[\n", indent="  ", tail=lambda as_json: "]\n" if as_json else ""):
+    """Write ``blocks`` as one CSV table, or with ``--format json`` as JSON objects, one chunk per block.
+
+    Each block is one list per field, all of one length, of formatted
+    values: floats by repr, as json.dumps writes them, and flags as
+    false/true.  The JSON objects follow ``json_head`` at ``indent``, with
+    the bytes of json.dumps(..., indent=2).  ``tail(as_json)`` is called
+    after the last block and gives the text after the last row.
+    """
+    as_json = args.format == "json"
+    if as_json:
+        row = ",\n".join(f'{indent}  "{name}": %s' for name in fields)
+        head, row, sep = json_head, f"{indent}{{\n{row}\n{indent}}}", ",\n"
+    else:
+        head, row, sep = ",".join(fields) + "\n", ",".join(["%s"] * len(fields)), "\n"
+    # the text before each value of a row; a row's first value also closes the row before it
+    *pieces, close = row.split("%s")
+    pieces[0] = close + sep + pieces[0]
+
+    def chunks():
+        for i, columns in enumerate(blocks):
+            rows, width = len(columns[0]), 2 * len(pieces)
+            # piece, value, piece, value, ... row after row, filled one column at a time
+            cells = [""] * (width * rows)
+            for j, (piece, column) in enumerate(zip(pieces, columns)):
+                cells[2 * j :: width], cells[2 * j + 1 :: width] = [piece] * rows, column
+            if not i:  # the first row follows the head, not another row
+                cells[0] = head + cells[0][len(close + sep) :]
+            yield "".join(cells)
+        yield close + "\n" + tail(as_json)
+
+    _emit(chunks(), args.output)
+
+
+def _emit_record(args, payload: dict, row: dict) -> None:
+    """``payload`` as JSON, or with ``--format csv`` ``row`` as a one-row table."""
+    if args.format == "csv":
+        _emit_table(args, list(row), [[[_fmt(value)] for value in row.values()]])
+    else:
+        _emit_json(payload, args.output)
 
 
 #: The argparse type of an angle flag, turned into radians by _validate_common (a
@@ -114,15 +162,12 @@ def _cmd_quantize(args) -> int:
 
     data = fourier_coefficients(series)
     matrix = quantize(series, args.r, args.phi0)
-    if args.format == "csv":
-        header = ["mean", "cc", "cs", "a11", "a12", "a21", "a22"]
-        row = [data.mean, data.cc, data.cs, *[float(v) for v in matrix.ravel()]]
-        _emit_csv(header, [row], args.output)
-    else:
-        _emit_json(
-            {"matrix": matrix.tolist(), "mean": data.mean, "cc": data.cc, "cs": data.cs},
-            args.output,
-        )
+    cells = [data.mean, data.cc, data.cs, *map(float, matrix.ravel())]
+    _emit_record(
+        args,
+        {"matrix": matrix.tolist(), "mean": data.mean, "cc": data.cc, "cs": data.cs},
+        dict(zip(("mean", "cc", "cs", "a11", "a12", "a21", "a22"), cells)),
+    )
     return 0
 
 
@@ -139,10 +184,7 @@ def _cmd_identity_check(args) -> int:
         "tolerance": args.tolerance,
         "passed": passed,
     }
-    if args.format == "csv":
-        _emit_csv(list(payload), [list(payload.values())], args.output)
-    else:
-        _emit_json(payload, args.output)
+    _emit_record(args, payload, payload)
     return 0 if passed else 1
 
 
@@ -159,98 +201,23 @@ def _cmd_malus(args) -> int:
         check_range(args.mc_n, "--mc-n must be positive", 1)
     light = DensityParams(args.r0, args.phi0)
     phis = np.linspace(0.0, math.pi, args.steps)
-    header = ["phi", "p_parallel", "p_perpendicular"]
+    fields = ["phi", "p_parallel", "p_perpendicular"]
     if args.mc_n is not None:
-        header.append("mc_freq")
+        fields.append("mc_freq")
 
-    def block(start: int) -> str:
-        """The rows of one output block from row ``start`` on, with no separator after the last."""
-        rows = []
-        for i, phi in enumerate(phis[start : start + _SCAN_BLOCK_POINTS].tolist(), start):
-            p_par = outcome_probability(light, phi, PARALLEL)
-            row = [phi, p_par, 1.0 - p_par]
+    def blocks():
+        for start in range(0, args.steps, _SCAN_BLOCK_POINTS):
+            phi = phis[start : start + _SCAN_BLOCK_POINTS].tolist()
+            p_par = [outcome_probability(light, x, PARALLEL) for x in phi]
+            columns = [phi, p_par, [1.0 - p for p in p_par]]
             if args.mc_n is not None:
                 # row i's own child stream, SeedSequence(seed).spawn(steps)[i], built per row
-                count, _ = sample_outcomes(p_par, args.mc_n, np.random.SeedSequence(args.seed, spawn_key=(i,)))
-                row.append(count / args.mc_n)
-            rows.append(row)
-        if args.format == "json":
-            # the items of json.dumps(all rows, indent=2), without its brackets
-            return json.dumps([dict(zip(header, row)) for row in rows], indent=2, allow_nan=False)[2:-2]
-        return "\n".join(",".join(map(_fmt, row)) for row in rows)
+                seeds = (np.random.SeedSequence(args.seed, spawn_key=(i,)) for i in range(start, start + len(phi)))
+                columns.append([sample_outcomes(p, args.mc_n, seed)[0] / args.mc_n for p, seed in zip(p_par, seeds)])
+            yield [list(map(repr, column)) for column in columns]
 
-    if args.format == "json":
-        head, sep, tail = "[\n", ",\n", "\n]\n"
-    else:
-        head, sep, tail = ",".join(header) + "\n", "\n", "\n"
-    # the first block before the output is opened, so a draw that fails writes nothing
-    first = head + block(0)
-    rest = (sep + block(start) for start in range(_SCAN_BLOCK_POINTS, args.steps, _SCAN_BLOCK_POINTS))
-    _emit(itertools.chain((first,), rest, (tail,)), args.output)
+    _emit_table(args, fields, blocks())
     return 0
-
-
-_SCAN_FIELDS = ("zeta", "eta", "lhs", "rhs", "violated", "margin")
-#: A scan point in each format: a template with one %s per field, in
-#: _SCAN_FIELDS order, and the text between two points.  Both formats write
-#: floats with repr, as json.dumps does, and the flags as false/true.
-_CSV_POINT = (",".join(["%s"] * len(_SCAN_FIELDS)), "\n")
-_JSON_POINT = ("    {\n" + ",\n".join(f'      "{name}": %s' for name in _SCAN_FIELDS) + "\n    }", ",\n")
-
-
-def _csv_scan_tail(fraction: float, interval: Optional[list[float]]) -> str:
-    interval_text = f"[{_fmt(interval[0])},{_fmt(interval[1])}]" if interval else "none"
-    return f"\n# violated_fraction={_fmt(fraction)} diagonal_violation_interval={interval_text}\n"
-
-
-def _json_scan_tail(fraction: float, interval: Optional[list[float]]) -> str:
-    # byte-identical to json.dumps(payload, indent=2) of the whole payload
-    summary = json.dumps(
-        {"violated_fraction": fraction, "diagonal_violation_interval": interval}, indent=2, allow_nan=False
-    )
-    return "\n  ]," + summary[1:] + "\n"
-
-
-def _scan_text(zetas, etas, head: str, template: str, point_sep: str, tail):
-    """``head``, the scan points written with ``template`` and ``point_sep``, then the summary.
-
-    The bound is evaluated and written one block of whole zeta rows at a
-    time.  The violated count and the violated diagonal etas' min and max
-    are carried across blocks; ``tail(fraction, interval)`` writes them
-    after the last point.  The template's text is joined once to the
-    strings that repeat (zeta per row, eta and rhs per column, the two
-    flags), so only lhs and margin are formatted per point.
-    """
-    before_zeta, after_zeta, after_eta, before_rhs, after_rhs, after_flag, end = template.split("%s")
-    lead = end + point_sep + before_zeta
-    eta_text = [eta + after_eta for eta in map(repr, etas.tolist())]
-    flags = ("false" + after_flag, "true" + after_flag)
-    rows = max(1, _SCAN_BLOCK_POINTS // etas.size)
-    rhs, violated, interval = None, 0, None
-    yield head
-    for start in range(0, zetas.size, rows):
-        grid = violation_scan(zetas[start : start + rows], etas)
-        if rhs is None:  # rhs depends on eta alone
-            rhs = [before_rhs + value + after_rhs for value in map(repr, grid.rhs.tolist())]
-        violated += int(np.count_nonzero(grid.violated))
-        diagonal = etas[np.nonzero(grid.violated & (grid.zetas[:, None] == etas))[1]]
-        if diagonal.size:
-            lo, hi = float(diagonal.min()), float(diagonal.max())
-            interval = [lo, hi] if interval is None else [min(interval[0], lo), max(interval[1], hi)]
-        zeta_text = [lead + zeta + after_zeta for zeta in map(repr, grid.zetas.tolist())]
-        zeta_column = [zeta for zeta in zeta_text for _ in eta_text]
-        if not start:  # the first point follows no other
-            zeta_column[0] = zeta_column[0][len(end + point_sep):]
-        points = zip(
-            zeta_column,
-            eta_text * len(zeta_text),
-            map(repr, grid.lhs.ravel().tolist()),
-            rhs * len(zeta_text),
-            map(flags.__getitem__, grid.violated.ravel().tolist()),
-            map(repr, grid.margin.ravel().tolist()),
-        )
-        yield "".join(itertools.chain.from_iterable(points))
-    yield end + tail(violated / (zetas.size * etas.size), interval)
 
 
 def _cmd_bell_scan(args) -> int:
@@ -262,15 +229,48 @@ def _cmd_bell_scan(args) -> int:
         etas = np.linspace(args.eta_min, args.eta_max, args.eta_steps)
     # the whole grid, before any output: the blocks are evaluated while writing
     check_angle_sums(zetas, etas)
-    if args.format == "json":
-        head, point, tail = '{\n  "points": [\n', _JSON_POINT, _json_scan_tail
-    else:
-        head, point, tail = ",".join(_SCAN_FIELDS) + "\n", _CSV_POINT, _csv_scan_tail
-    _emit(_scan_text(zetas, etas, head, *point, tail), args.output)
+    eta_text = list(map(repr, etas.tolist()))
+    violated, interval = 0, None
+
+    def blocks():
+        # one block of whole zeta rows at a time, each repeating string formatted once; the
+        # violated count and the violated diagonal etas' min and max are carried to the tail
+        nonlocal violated, interval
+        rows, rhs = max(1, _SCAN_BLOCK_POINTS // etas.size), None
+        for start in range(0, zetas.size, rows):
+            grid = violation_scan(zetas[start : start + rows], etas)
+            if rhs is None:  # rhs depends on eta alone
+                rhs = list(map(repr, grid.rhs.tolist()))
+            violated += int(np.count_nonzero(grid.violated))
+            diagonal = etas[np.nonzero(grid.violated & (grid.zetas[:, None] == etas))[1]]
+            if diagonal.size:
+                lo, hi = float(diagonal.min()), float(diagonal.max())
+                interval = [lo, hi] if interval is None else [min(interval[0], lo), max(interval[1], hi)]
+            zeta_text = list(map(repr, grid.zetas.tolist()))
+            yield (
+                [zeta for zeta in zeta_text for _ in eta_text],
+                eta_text * len(zeta_text),
+                list(map(repr, grid.lhs.ravel().tolist())),
+                rhs * len(zeta_text),
+                list(map(("false", "true").__getitem__, grid.violated.ravel().tolist())),
+                list(map(repr, grid.margin.ravel().tolist())),
+            )
+
+    def tail(as_json: bool) -> str:
+        fraction = violated / (zetas.size * etas.size)
+        if as_json:  # the rest of json.dumps(payload, indent=2) of the whole payload
+            summary = {"violated_fraction": fraction, "diagonal_violation_interval": interval}
+            return "  ]," + json.dumps(summary, indent=2, allow_nan=False)[1:] + "\n"
+        interval_text = f"[{_fmt(interval[0])},{_fmt(interval[1])}]" if interval else "none"
+        return f"# violated_fraction={_fmt(fraction)} diagonal_violation_interval={interval_text}\n"
+
+    fields = ("zeta", "eta", "lhs", "rhs", "violated", "margin")
+    _emit_table(args, fields, blocks(), json_head='{\n  "points": [\n', indent="    ", tail=tail)
     return 0
 
 
 def _cmd_correlate(args) -> int:
+    check_range(args.n_nodes, "--n-nodes must be positive", 1)
     if args.model == "quantum":
         def correlation(x, y):
             return quantum_correlation(x, y)
@@ -291,23 +291,17 @@ def _cmd_correlate(args) -> int:
         payload.update(
             {"lhs": report.lhs, "rhs": report.rhs, "violated": report.violated, "margin": report.margin}
         )
-    if args.format == "csv":
-        _emit_csv(list(payload), [list(payload.values())], args.output)
-    else:
-        _emit_json(payload, args.output)
+    _emit_record(args, payload, payload)
     return 0
 
 
 def _cmd_coherent(args) -> int:
     tensor = coherent_to_tensor(args.theta, args.phi)
-    if args.format == "csv":
-        _emit_csv(
-            ["theta", "phi", "t0", "t1", "t2", "t3"],
-            [[args.theta, args.phi, *[float(v) for v in tensor]]],
-            args.output,
-        )
-    else:
-        _emit_json({"theta": args.theta, "phi": args.phi, "tensor": tensor.tolist()}, args.output)
+    _emit_record(
+        args,
+        {"theta": args.theta, "phi": args.phi, "tensor": tensor.tolist()},
+        dict(zip(("theta", "phi", "t0", "t1", "t2", "t3"), [args.theta, args.phi, *map(float, tensor)])),
+    )
     return 0
 
 
@@ -352,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("fourier", help='inline JSON {"a0": ..., "terms": [...]} or a path to it')
     p.add_argument("--r", type=float, required=True, help="degree of mixing of the kernel family")
     p.add_argument("--phi0", type=_Angle, default=0.0, help="kernel orientation offset")
-    p.set_defaults(handler=_cmd_quantize)
+    p.set_defaults(handler=_cmd_quantize, parser=p)
 
     p = sub.add_parser("identity-check", parents=[common], help="residual of the resolution of the identity")
     # --tolerance before --r and --phi0: the first non-finite float flag is the one reported
@@ -360,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-12, help="check tolerance (default 1e-12)")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--phi0", type=_Angle, default=0.0)
-    p.set_defaults(handler=_cmd_identity_check)
+    p.set_defaults(handler=_cmd_identity_check, parser=p)
 
     p = sub.add_parser("malus", parents=[common], help="transmission probabilities over a polarizer-angle grid")
     p.add_argument("--r0", type=float, required=True, help="light polarization degree")
@@ -368,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True, help="grid points over [0, pi]")
     p.add_argument("--mc-n", type=int, default=None, help="add a Monte-Carlo frequency column with n draws per row")
     p.add_argument("--seed", type=int, default=0, help="random seed of the --mc-n draws (default 0)")
-    p.set_defaults(handler=_cmd_malus)
+    p.set_defaults(handler=_cmd_malus, parser=p)
 
     p = sub.add_parser("bell-scan", parents=[common], help="scan the correlation bound over (zeta, eta)")
     p.add_argument("--zeta-steps", type=int, required=True)
@@ -377,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta-max", type=_Angle, default=math.pi / 2, help="default pi/2 radians, even with --degrees")
     p.add_argument("--eta-min", type=_Angle, default=0.0)
     p.add_argument("--eta-max", type=_Angle, default=math.pi / 2, help="default pi/2 radians, even with --degrees")
-    p.set_defaults(handler=_cmd_bell_scan)
+    p.set_defaults(handler=_cmd_bell_scan, parser=p)
 
     p = sub.add_parser("correlate", parents=[common], help="quantum or hidden-variable pair correlations")
     p.add_argument("--phi-a", type=_Angle, required=True)
@@ -385,15 +379,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-c", type=_Angle, help="third angle: also check the Bell bound")
     p.add_argument("--model", choices=("quantum", *BUILTIN_MODELS), default="quantum")
     p.add_argument("--n-nodes", type=int, default=DEFAULT_NODES, help="hidden-variable quadrature nodes")
-    p.set_defaults(handler=_cmd_correlate)
+    p.set_defaults(handler=_cmd_correlate, parser=p)
 
     p = sub.add_parser("coherent", parents=[common], help="coherent state as an entangled plane pair")
     p.add_argument("--theta", type=_Angle, required=True, help="colatitude in [0, pi]")
     p.add_argument("--phi", type=_Angle, required=True, help="azimuth")
-    p.set_defaults(handler=_cmd_coherent)
+    p.set_defaults(handler=_cmd_coherent, parser=p)
 
     p = sub.add_parser("iso-demo", parents=[common], help="Bell change of basis and flip/cat action table")
-    p.set_defaults(handler=_cmd_iso_demo)
+    p.set_defaults(handler=_cmd_iso_demo, parser=p)
 
     return parser
 
@@ -401,7 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # reported by the command's own parser, with its usage
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

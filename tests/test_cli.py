@@ -8,9 +8,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from planeqm import cli
-from planeqm.bell import sin_inequality, violation_scan
+from planeqm.bell import (
+    BUILTIN_MODELS,
+    DEFAULT_NODES,
+    baby_bell_check,
+    quantum_correlation,
+    sin_inequality,
+    singlet_correlation,
+    violation_scan,
+)
 from planeqm.cli import main
+from planeqm.isomorphisms import coherent_to_tensor
 from planeqm.measurement import PARALLEL, outcome_probability, sample_outcomes
+from planeqm.quantization import fourier_coefficients, fourier_series_from_json, identity_residual, quantize
 from planeqm.states import DensityParams
 
 SQ2 = math.sqrt(2.0)
@@ -149,7 +159,9 @@ def test_flag_of_another_command_exits_2(capsys, argv):
     # --samples and --tolerance belong to identity-check alone, --seed to malus alone
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
+    # the chosen command's usage, which lists its own flags, not the list of commands
+    assert err.startswith(f"usage: planeqm {argv[0]} ")
+    assert err.endswith(f"planeqm {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
     assert "Traceback" not in err
 
 
@@ -594,6 +606,13 @@ def test_correlate_pair_only(capsys):
     assert "lhs" not in payload
 
 
+@pytest.mark.parametrize("model", ["quantum", "sign-cos"])
+@pytest.mark.parametrize("n_nodes", ["0", "-5"])
+def test_correlate_refuses_non_positive_nodes_for_every_model(capsys, model, n_nodes):
+    argv = ["correlate", "--model", model, "--phi-a", "0", "--phi-b", "1", "--n-nodes", n_nodes]
+    assert run(capsys, *argv) == (3, "", f"error: --n-nodes must be positive, got {n_nodes}\n")
+
+
 # ---------------------------------------------------------------------------
 # coherent
 
@@ -642,6 +661,121 @@ def test_degrees_flag_gives_the_radian_bytes(capsys, argv, fmt):
     assert in_degrees == in_radians
     if argv[0] == "identity-check" and fmt == "json":
         assert json.loads(in_degrees[1])["phi0"] == math.pi / 4
+
+
+# ---------------------------------------------------------------------------
+# whole-output references of the one-record commands
+
+
+def cell(value):
+    """A CSV cell as the reference writes it: flags false/true, floats by repr."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
+def reference_record(fmt, payload, row=None):
+    """One record built whole: json.dumps of ``payload``, or the header and one row of ``row`` (default ``payload``)."""
+    if fmt == "csv":
+        row = payload if row is None else row
+        return ",".join(row) + "\n" + ",".join(map(cell, row.values())) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def quantize_record(text, r):
+    series = fourier_series_from_json(text)
+    data = fourier_coefficients(series)
+    matrix = quantize(series, r, 0.0)
+    payload = {"matrix": matrix.tolist(), "mean": data.mean, "cc": data.cc, "cs": data.cs}
+    values = [data.mean, data.cc, data.cs, *matrix.ravel().tolist()]
+    return payload, dict(zip(["mean", "cc", "cs", "a11", "a12", "a21", "a22"], values))
+
+
+def identity_record(r, phi0, tolerance):
+    residual = identity_residual(r, phi0, 1024)
+    payload = {"r": r, "phi0": phi0, "samples": 1024, "residual": residual, "tolerance": tolerance}
+    return {**payload, "passed": residual < tolerance}, None
+
+
+def correlate_record(model, phi_a, phi_b, phi_c=None):
+    if model == "quantum":
+        correlation, payload = quantum_correlation, {"model": model, "phi_a": phi_a, "phi_b": phi_b}
+    else:
+        built = BUILTIN_MODELS[model]()
+        payload = {"model": model, "phi_a": phi_a, "phi_b": phi_b, "n_nodes": DEFAULT_NODES}
+        def correlation(x, y):
+            return singlet_correlation(built, x, y, DEFAULT_NODES)
+    payload["p_ab"] = correlation(phi_a, phi_b)
+    if phi_c is not None:
+        payload.update(phi_c=phi_c, p_ac=correlation(phi_a, phi_c), p_bc=correlation(phi_b, phi_c))
+        report = baby_bell_check(payload["p_ab"], payload["p_ac"], payload["p_bc"])
+        payload.update(lhs=report.lhs, rhs=report.rhs, violated=report.violated, margin=report.margin)
+    return payload, None
+
+
+def coherent_record(theta, phi):
+    tensor = coherent_to_tensor(theta, phi).tolist()
+    row = dict(zip(["theta", "phi", "t0", "t1", "t2", "t3"], [theta, phi, *tensor]))
+    return {"theta": theta, "phi": phi, "tensor": tensor}, row
+
+
+_SERIES = '{"a0": 1, "terms": [{"k": 2, "ak": 0.5, "bk": -0.25}, {"k": 3, "bk": 0.125}]}'
+_RECORDS = {
+    "quantize": (["quantize", _SERIES, "--r", "0.6"], 0, lambda: quantize_record(_SERIES, 0.6)),
+    "identity-passed": (["identity-check", "--r", "0.7", "--phi0", "1.3"], 0, lambda: identity_record(0.7, 1.3, 1e-12)),
+    "identity-failed": (
+        ["identity-check", "--r", "0.7", "--phi0", "1.3", "--tolerance", "1e-20"],
+        1,
+        lambda: identity_record(0.7, 1.3, 1e-20),
+    ),
+    "correlate-quantum": (
+        ["correlate", "--phi-a", "0.25", "--phi-b", "1.25", "--phi-c", "2.5"],
+        0,
+        lambda: correlate_record("quantum", 0.25, 1.25, 2.5),
+    ),
+    "correlate-sign-cos": (
+        ["correlate", "--model", "sign-cos", "--phi-a", "0", "--phi-b", "1.1"],
+        0,
+        lambda: correlate_record("sign-cos", 0.0, 1.1),
+    ),
+    "coherent": (["coherent", "--theta", "1.2", "--phi", "0.5"], 0, lambda: coherent_record(1.2, 0.5)),
+}
+
+
+@pytest.mark.parametrize("fmt", [None, "csv", "json"], ids=["default", "csv", "json"])
+@pytest.mark.parametrize("request_name", list(_RECORDS))
+def test_record_bytes_match_whole_output_reference(capsys, request_name, fmt):
+    argv, code, record = _RECORDS[request_name]
+    expected = reference_record(fmt or "json", *record())
+    assert run(capsys, *argv, *(["--format", fmt] if fmt else [])) == (code, expected, "")
+
+
+def refuse(*_):
+    raise ValueError("refused")
+
+
+@pytest.mark.parametrize(
+    "patched,argv",
+    [
+        ("quantize", ["quantize", '{"a0": 1}', "--r", "0.5"]),
+        ("identity_residual", ["identity-check", "--r", "0.5"]),
+        ("outcome_probability", ["malus", "--r0", "0.5", "--steps", "3"]),
+        ("violation_scan", ["bell-scan", "--zeta-steps", "3", "--eta-steps", "3"]),
+        ("quantum_correlation", ["correlate", "--phi-a", "0", "--phi-b", "1"]),
+        ("coherent_to_tensor", ["coherent", "--theta", "1", "--phi", "0"]),
+        ("bell_basis_matrix", ["iso-demo"]),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else value,
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failing_first_block_opens_no_output(capsys, monkeypatch, tmp_path, patched, argv, fmt):
+    monkeypatch.setattr(cli, patched, refuse)
+    target = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--format", fmt, "--output", str(target))
+    assert (code, out) == (3, "")
+    refused = "iso-demo emits JSON only" if argv[0] == "iso-demo" and fmt == "csv" else "refused"
+    assert err == f"error: {refused}\n"
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------
