@@ -172,30 +172,30 @@ def _sign(x: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
+def _sign_model(name: str, scale: float) -> HiddenVariableModel:
+    """eps(phi, lam) = sgn(cos(scale * phi - lam)) with a uniform hidden direction, built and validated once."""
+    return HiddenVariableModel(
+        epsilon=lambda phi, lam: _sign(np.cos(scale * phi - lam)),
+        density=lambda lam: np.full(np.shape(lam), 1.0 / TWO_PI),
+        name=name,
+    )
+
+
 def sign_cosine_model() -> HiddenVariableModel:
     """eps(phi, lam) = sgn(cos(phi - lam)), uniform hidden direction.
 
     Built and validated once per process; later calls return the same
     (immutable) model.
     """
-    return HiddenVariableModel(
-        epsilon=lambda phi, lam: _sign(np.cos(phi - lam)),
-        density=lambda lam: np.full(np.shape(lam), 1.0 / TWO_PI),
-        name="sign-cos",
-    )
+    return _sign_model("sign-cos", 1.0)
 
 
-@functools.cache
 def sign_projection_model() -> HiddenVariableModel:
     """eps = sgn(u(phi/2) . u(lam)): the observable's +1 eigendirection projected on lam.
 
     Built and validated once per process, like :func:`sign_cosine_model`.
     """
-    return HiddenVariableModel(
-        epsilon=lambda phi, lam: _sign(np.cos(phi / 2.0 - lam)),
-        density=lambda lam: np.full(np.shape(lam), 1.0 / TWO_PI),
-        name="sign-projection",
-    )
+    return _sign_model("sign-projection", 0.5)
 
 
 BUILTIN_MODELS: dict[str, Callable[[], HiddenVariableModel]] = {

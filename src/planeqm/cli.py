@@ -188,9 +188,9 @@ def _cmd_identity_check(args) -> int:
     return 0 if passed else 1
 
 
-#: Grid points per output block of bell-scan, rounded down to whole zeta rows
-#: (at least one), and rows per block of malus: the arrays and formatted text
-#: held at once are bounded by one block.
+#: Grid points per output block of bell-scan, and rows per block of malus: the
+#: arrays and formatted text held at once are bounded by one block.  A bell-scan
+#: block is whole zeta rows when a row fits, and otherwise a piece of one row.
 _SCAN_BLOCK_POINTS = 2048
 
 
@@ -229,20 +229,20 @@ def _cmd_bell_scan(args) -> int:
         etas = np.linspace(args.eta_min, args.eta_max, args.eta_steps)
     # the whole grid, before any output: the blocks are evaluated while writing
     check_angle_sums(zetas, etas)
-    eta_text = list(map(repr, etas.tolist()))
+    width = min(etas.size, _SCAN_BLOCK_POINTS)
+    rows = _SCAN_BLOCK_POINTS // width
     violated, interval = 0, None
 
     def blocks():
-        # one block of whole zeta rows at a time, each repeating string formatted once; the
-        # violated count and the violated diagonal etas' min and max are carried to the tail
+        # zeta-major tiles; the violated count and the violated diagonal etas' min and max are
+        # carried to the tail
         nonlocal violated, interval
-        rows, rhs = max(1, _SCAN_BLOCK_POINTS // etas.size), None
-        for start in range(0, zetas.size, rows):
-            grid = violation_scan(zetas[start : start + rows], etas)
-            if rhs is None:  # rhs depends on eta alone
-                rhs = list(map(repr, grid.rhs.tolist()))
+        for start, left in itertools.product(range(0, zetas.size, rows), range(0, etas.size, width)):
+            grid = violation_scan(zetas[start : start + rows], etas[left : left + width])
+            if not start or width < etas.size:  # eta and rhs text, once per scan when rows fit
+                eta_text, rhs = list(map(repr, grid.etas.tolist())), list(map(repr, grid.rhs.tolist()))
             violated += int(np.count_nonzero(grid.violated))
-            diagonal = etas[np.nonzero(grid.violated & (grid.zetas[:, None] == etas))[1]]
+            diagonal = grid.etas[np.nonzero(grid.violated & (grid.zetas[:, None] == grid.etas))[1]]
             if diagonal.size:
                 lo, hi = float(diagonal.min()), float(diagonal.max())
                 interval = [lo, hi] if interval is None else [min(interval[0], lo), max(interval[1], hi)]
@@ -272,8 +272,7 @@ def _cmd_bell_scan(args) -> int:
 def _cmd_correlate(args) -> int:
     check_range(args.n_nodes, "--n-nodes must be positive", 1)
     if args.model == "quantum":
-        def correlation(x, y):
-            return quantum_correlation(x, y)
+        correlation = quantum_correlation
     else:
         model = BUILTIN_MODELS[args.model]()
         def correlation(x, y):

@@ -67,20 +67,22 @@ def real_rep(op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return np.column_stack([real_structure_coords(op(b)) for b in basis])
 
 
+#: Signs from diagonal-first components to real-structure coordinates: |pi/2 pi/2> -> -e2.
+_TENSOR_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
+
+
 def tensor_to_complex(v: np.ndarray) -> np.ndarray:
     """Complex pair of a two-plane vector given in diagonal-first order.
 
     |00> -> e1, |pi/2 pi/2> -> -e2, |0 pi/2> -> i*e1, |pi/2 0> -> i*e2;
     linear, norm-preserving, inverted by :func:`complex_to_tensor`.
     """
-    v = np.asarray(v, dtype=float)
-    return np.array([v[0] + 1j * v[2], -v[1] + 1j * v[3]])
+    return complex_from_coords(_TENSOR_SIGNS * np.asarray(v, dtype=float))
 
 
 def complex_to_tensor(z: np.ndarray) -> np.ndarray:
     """Inverse of :func:`tensor_to_complex`."""
-    z = np.asarray(z, dtype=complex)
-    return np.array([z[0].real, -z[1].real, z[0].imag, z[1].imag])
+    return _TENSOR_SIGNS * real_structure_coords(z)
 
 
 def bell_basis_matrix() -> np.ndarray:
@@ -122,13 +124,19 @@ def cat(z: np.ndarray) -> np.ndarray:
 # spin one-half coherent states
 
 
-def coherent_state(theta: float, phi: float) -> np.ndarray:
-    """Unit vector (cos(theta/2), e^{i phi} sin(theta/2)) for a sphere direction."""
+def _coherent_parts(theta: float, phi: float) -> tuple[float, float, float]:
+    """cos(theta/2), sin(theta/2) cos(phi) and sin(theta/2) sin(phi) of a sphere direction."""
     check_range(theta, "colatitude theta must lie in [0, pi]", 0.0, math.pi)
     check_range(phi, "azimuth phi must be finite")
-    return np.array(
-        [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)]
-    )
+    half = theta / 2.0
+    return math.cos(half), math.sin(half) * math.cos(phi), math.sin(half) * math.sin(phi)
+
+
+def coherent_state(theta: float, phi: float) -> np.ndarray:
+    """Unit vector (cos(theta/2), e^{i phi} sin(theta/2)) for a sphere direction."""
+    c, sc, ss = _coherent_parts(theta, phi)
+    # (cos phi + i sin phi) * (sin(theta/2) + 0i) as complex multiplication forms it, signed zeros included
+    return np.array([c, complex(sc - ss * 0.0, sc * 0.0 + ss)])
 
 
 def d_half_matrix(theta: float, phi: float) -> np.ndarray:
@@ -148,17 +156,8 @@ def coherent_to_tensor(theta: float, phi: float) -> np.ndarray:
     fourth component vanishes identically and the norm is one, so each
     upper-half-sphere direction is a pair of entangled plane angles.
     """
-    check_range(theta, "colatitude theta must lie in [0, pi]", 0.0, math.pi)
-    check_range(phi, "azimuth phi must be finite")
-    half = theta / 2.0
-    return np.array(
-        [
-            math.cos(half),
-            -math.sin(half) * math.cos(phi),
-            math.sin(half) * math.sin(phi),
-            0.0,
-        ]
-    )
+    c, sc, ss = _coherent_parts(theta, phi)
+    return np.array([c, -sc, ss, 0.0])
 
 
 # ---------------------------------------------------------------------------

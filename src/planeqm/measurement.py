@@ -65,6 +65,11 @@ def dirac_cumulative(profile: DiracProfile, t: float) -> float:
     return 0.5 * (1.0 + math.erf((t - profile.t_m) / (sigma * math.sqrt(2.0))))
 
 
+def _rotate_on(a: float, p: np.ndarray, b: float, q: np.ndarray) -> np.ndarray:
+    """R(a) (x) P + R(b) (x) Q: the pointer rotates by a on the range of P, by b on that of Q."""
+    return np.kron(rotation(a), p) + np.kron(rotation(b), q)
+
+
 def exp_projector(theta: float, p: np.ndarray) -> np.ndarray:
     """exp(theta TAU2 (x) P) for an orthogonal projector P.
 
@@ -81,8 +86,7 @@ def exp_projector(theta: float, p: np.ndarray) -> np.ndarray:
         raise ValueError("projector must be symmetric")
     if not np.abs(p @ p - p).max() <= _PROJECTOR_TOL:
         raise ValueError("projector must be idempotent")
-    eye = np.eye(2)
-    return np.kron(rotation(theta), p) + np.kron(eye, eye - p)
+    return _rotate_on(theta, p, 0.0, np.eye(2) - p)
 
 
 def evolution_operator(g_value: float, r: float, phi: float) -> np.ndarray:
@@ -95,11 +99,8 @@ def evolution_operator(g_value: float, r: float, phi: float) -> np.ndarray:
     check_range(g_value, "cumulative weight G must lie in [0, 1]", 0.0, 1.0)
     check_range(r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
     check_range(phi, "orientation phi must be finite")
-    e_par = projector(phi)
-    e_perp = projector(phi + 0.5 * math.pi)
-    return np.kron(rotation(g_value * (1.0 + r) / 2.0), e_par) + np.kron(
-        rotation(g_value * (1.0 - r) / 2.0), e_perp
-    )
+    e_par, e_perp = projector(phi), projector(phi + 0.5 * math.pi)
+    return _rotate_on(g_value * (1.0 + r) / 2.0, e_par, g_value * (1.0 - r) / 2.0, e_perp)
 
 
 def evolve_joint(

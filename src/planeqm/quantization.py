@@ -42,6 +42,12 @@ DEFAULT_SAMPLES = 1024
 MIN_SAMPLES = 8
 
 
+def _rotate(a: float, b: float, angle: float) -> tuple[float, float]:
+    """The (cos, sin) coefficient pair (a, b) rotated by ``angle``: for harmonic k, that of f(phi - angle/k)."""
+    c, s = math.cos(angle), math.sin(angle)
+    return a * c - b * s, a * s + b * c
+
+
 @dataclass(frozen=True)
 class FourierSeries:
     """Finite real Fourier series a0 + sum_k (ak cos(k phi) + bk sin(k phi)).
@@ -96,11 +102,7 @@ class FourierSeries:
 
     def shifted(self, delta: float) -> "FourierSeries":
         """The translated series phi -> f(phi - delta), again in closed form."""
-        shifted_terms = []
-        for k, ak, bk in self.terms:
-            c, s = math.cos(k * delta), math.sin(k * delta)
-            shifted_terms.append((k, ak * c - bk * s, ak * s + bk * c))
-        return FourierSeries(self.a0, tuple(shifted_terms))
+        return FourierSeries(self.a0, tuple((k, *_rotate(ak, bk, k * delta)) for k, ak, bk in self.terms))
 
 
 def _harmonic_index(k) -> int:
@@ -195,12 +197,10 @@ class FourierData:
 
     def rotated(self, angle: float) -> "FourierData":
         """Coefficients of the series translated so that (cc, cs) rotates by ``angle``."""
-        c, s = math.cos(angle), math.sin(angle)
-        return FourierData(self.mean, self.cc * c - self.cs * s, self.cc * s + self.cs * c)
+        return FourierData(self.mean, *_rotate(self.cc, self.cs, angle))
 
 
 def _quadrature_grid(n_samples: int) -> np.ndarray:
-    check_range(n_samples, f"n_samples must be at least {MIN_SAMPLES}", MIN_SAMPLES)
     return np.arange(n_samples) * (TWO_PI / n_samples)
 
 
@@ -315,6 +315,7 @@ def superposition_density(
     check_range(r, "mixing degree r of the integrand family must lie in (0, 1]", math.ulp(0.0), 1.0)
     check_range(s, "target mixing degree s must lie in [0, 1]", 0.0, 1.0)
     check_range(theta, "target orientation theta must be finite")
+    check_range(n_samples, f"n_samples must be at least {MIN_SAMPLES}", MIN_SAMPLES)
     phis = _quadrature_grid(n_samples)
     acc = np.zeros((2, 2))
     for p in phis:

@@ -171,6 +171,14 @@ def test_builtin_models_are_built_once(factory):
     assert BUILTIN_MODELS[factory().name]() is factory()
 
 
+def test_sign_models_are_their_closed_forms():
+    rng = np.random.default_rng(14)
+    lam = rng.uniform(0.0, TWO_PI, 257)
+    for phi in [0.0, math.pi, *rng.uniform(-7.0, 7.0, 50)]:
+        assert np.array_equal(sign_cosine_model().epsilon(phi, lam), np.sign(np.cos(phi - lam)))
+        assert np.array_equal(sign_projection_model().epsilon(phi, lam), np.sign(np.cos(phi / 2.0 - lam)))
+
+
 def test_invalid_custom_model_still_raises_after_builtins_are_cached():
     with pytest.raises(ValueError, match="integrates"):
         HiddenVariableModel(

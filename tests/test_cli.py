@@ -461,6 +461,7 @@ def test_bell_scan_bytes_match_per_point_reference(capsys, argv, zetas, etas, fm
 #: zeta rows per output block at 700 eta steps; 2 blocks and one row more
 #: make a non-square grid whose zeta count is not a multiple of the block
 _BLOCK_ROWS = cli._SCAN_BLOCK_POINTS // 700
+_UNIT_BOUNDS = ["--zeta-min=-1", "--zeta-max=1", "--eta-min=-1", "--eta-max=1"]
 _SCAN_GRIDS = {
     "1x1": (["--zeta-steps", "1", "--eta-steps", "1"], np.linspace(0.0, math.pi / 2, 1), np.linspace(0.0, math.pi / 2, 1)),
     "1x50": (["--zeta-steps", "1", "--eta-steps", "50"], np.linspace(0.0, math.pi / 2, 1), np.linspace(0.0, math.pi / 2, 50)),
@@ -469,6 +470,13 @@ _SCAN_GRIDS = {
         ["--zeta-steps", str(2 * _BLOCK_ROWS + 1), "--eta-steps", "700", "--zeta-max", "1.2"],
         np.linspace(0.0, 1.2, 2 * _BLOCK_ROWS + 1),
         np.linspace(0.0, math.pi / 2, 700),
+    ),
+    # rows wider than a block are split; the violated diagonal points at eta = -0.5 and 0.5
+    # fall in different tiles, and the grid's step 2**-11 makes both of them grid points
+    "split-row": (
+        ["--zeta-steps", "5", "--eta-steps", str(2 * cli._SCAN_BLOCK_POINTS + 1), *_UNIT_BOUNDS],
+        np.linspace(-1.0, 1.0, 5),
+        np.linspace(-1.0, 1.0, 2 * cli._SCAN_BLOCK_POINTS + 1),
     ),
     "degrees": (
         ["--degrees", "--zeta-steps", "9", "--eta-steps", "6", "--zeta-min", "10", "--eta-max", "80"],
@@ -517,7 +525,9 @@ def test_bell_scan_writes_bounded_blocks(capsys, monkeypatch, tmp_path, fmt):
         assert text.count("\n") == 301 * 301 + 2
 
 
-@pytest.mark.parametrize("zeta_steps,eta_steps", [(301, 401), (3, cli._SCAN_BLOCK_POINTS + 5)])
+@pytest.mark.parametrize(
+    "zeta_steps,eta_steps", [(301, 401), (3, cli._SCAN_BLOCK_POINTS + 5), (2, 2 * cli._SCAN_BLOCK_POINTS + 5)]
+)
 def test_bell_scan_evaluates_bounded_blocks(capsys, monkeypatch, zeta_steps, eta_steps):
     calls = []
 
@@ -525,21 +535,22 @@ def test_bell_scan_evaluates_bounded_blocks(capsys, monkeypatch, zeta_steps, eta
         calls.append((np.array(zeta_grid), np.array(eta_grid)))
         return violation_scan(zeta_grid, eta_grid)
 
+    def points(zetas, etas):
+        return np.stack(np.meshgrid(zetas, etas, indexing="ij"), axis=-1).reshape(-1, 2)
+
     monkeypatch.setattr(cli, "violation_scan", recording_scan)
     code, _, err = run(capsys, "bell-scan", "--zeta-steps", str(zeta_steps), "--eta-steps", str(eta_steps))
     assert (code, err) == (0, "")
-    etas = np.linspace(0.0, math.pi / 2, eta_steps)
-    assert max(z.size * e.size for z, e in calls) <= max(eta_steps, cli._SCAN_BLOCK_POINTS)
-    # the blocks cover every zeta row once, in order, each against the whole eta grid
-    assert np.array_equal(np.concatenate([z for z, _ in calls]), np.linspace(0.0, math.pi / 2, zeta_steps))
-    assert all(np.array_equal(e, etas) for _, e in calls)
+    assert max(z.size * e.size for z, e in calls) <= cli._SCAN_BLOCK_POINTS
+    # the calls' points are the grid, in zeta-major order
+    grid = points(np.linspace(0.0, math.pi / 2, zeta_steps), np.linspace(0.0, math.pi / 2, eta_steps))
+    assert np.array_equal(np.concatenate([points(z, e) for z, e in calls]), grid)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_bell_scan_summary_spans_blocks(capsys, fmt):
     # the violated diagonal runs through many blocks, on both sides of zero
-    bounds = ["--zeta-min=-1", "--zeta-max=1", "--eta-min=-1", "--eta-max=1"]
-    code, out, err = run(capsys, "bell-scan", "--zeta-steps", "201", "--eta-steps", "201", *bounds, "--format", fmt)
+    code, out, err = run(capsys, "bell-scan", "--zeta-steps", "201", "--eta-steps", "201", *_UNIT_BOUNDS, "--format", fmt)
     assert (code, err) == (0, "")
     grid = violation_scan(np.linspace(-1.0, 1.0, 201), np.linspace(-1.0, 1.0, 201))
     diagonal = grid.etas[np.diag(grid.violated)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -59,6 +60,11 @@ def test_tensor_to_complex_is_orthogonal_and_invertible(tup):
 @given(complex_pairs)
 def test_real_structure_coords_round_trip(z):
     assert_allclose(complex_from_coords(real_structure_coords(z)), z, atol=0)
+
+
+def test_tensor_to_complex_is_complex_from_coords_with_second_component_negated():
+    for v in np.random.default_rng(14).normal(size=(200, 4)):
+        assert np.array_equal(tensor_to_complex(v), complex_from_coords(v * [1.0, -1.0, 1.0, 1.0]))
 
 
 def test_bell_basis_matrix_columns_and_orthogonality():
@@ -214,6 +220,15 @@ def test_coherent_to_tensor_vs_complex_correspondence(theta, phi):
     assert_allclose(direct[:2], via_complex[:2], atol=1e-13)
     assert_allclose(direct[2], via_complex[3], atol=1e-13)
     assert_allclose(direct[3], via_complex[2], atol=1e-13)
+
+
+def test_coherent_to_tensor_is_coherent_state_components():
+    rng = np.random.default_rng(14)
+    thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, 30)]
+    phis = [0.0, -0.0, math.pi, *rng.uniform(-7.0, 7.0, 30)]
+    for theta, phi in itertools.product(thetas, phis):
+        z = coherent_state(theta, phi)
+        assert np.array_equal(coherent_to_tensor(theta, phi), [z[0].real, -z[1].real, z[1].imag, 0.0])
 
 
 # ---------------------------------------------------------------------------
