@@ -28,6 +28,7 @@ zeta = eta exactly for 0 < |eta| < pi/4.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -42,6 +43,9 @@ from .states import TWO_PI, check_range, pure_state, sigma_phi
 #: Diagonal-first component i sits at Kronecker (lexicographic) slot _PERM[i].
 _PERM = np.array([0, 3, 1, 2])
 _INV_PERM = np.argsort(_PERM)
+#: Flat Kronecker-order index of each entry of a diagonal-first 4x4 operator,
+#: 4 * _PERM[:, None] + _PERM, written out: no integer arithmetic at import.
+_PERM_FLAT = np.array([[0, 3, 1, 2], [12, 15, 13, 14], [4, 7, 5, 6], [8, 11, 9, 10]])
 
 #: Strict-violation tolerance: boundary cases report "not violated".
 VIOLATION_TOL = 1e-12
@@ -57,6 +61,17 @@ def _reindex(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if a.shape == (4, 4):
         return a[np.ix_(idx, idx)]
     raise ValueError(f"expected a 4-vector or 4x4 matrix, got shape {a.shape}")
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``numpy.kron`` of two 2x2 matrices, or of two 2-vectors, as one broadcast product.
+
+    Bit-equal to ``numpy.kron``, signed zeros included: each entry is the
+    same single product, without ``numpy.kron``'s Python-level overhead.
+    """
+    if a.ndim == 1:
+        return (a[:, None] * b).reshape(4)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def from_kron_order(a: np.ndarray) -> np.ndarray:
@@ -97,7 +112,7 @@ def bell_state(kind: BellKind) -> np.ndarray:
 
 def sigma_tensor(phi_a: float, phi_b: float) -> np.ndarray:
     """sigma(phi_a) (x) sigma(phi_b) in diagonal-first order; squares to I."""
-    return from_kron_order(np.kron(sigma_phi(phi_a), sigma_phi(phi_b)))
+    return _kron(sigma_phi(phi_a), sigma_phi(phi_b)).reshape(16)[_PERM_FLAT]
 
 
 def quantum_correlation(phi_a: float, phi_b: float) -> float:
@@ -126,7 +141,7 @@ def joint_probabilities(
     table: dict[tuple[int, int], float] = {}
     for ea, ua in eig_a.items():
         for eb, ub in eig_b.items():
-            amp = float(from_kron_order(np.kron(ua, ub)) @ psi)
+            amp = float(_kron(ua, ub)[_PERM] @ psi)
             table[(ea, eb)] = amp * amp
     return table
 
@@ -204,14 +219,26 @@ BUILTIN_MODELS: dict[str, Callable[[], HiddenVariableModel]] = {
 }
 
 
+def _angle_pairs(phi_a, phi_b) -> list[tuple]:
+    """The (phi_a, phi_b) pairs of two angles or of two equal-length sequences, each angle checked finite."""
+    if np.ndim(phi_a) == np.ndim(phi_b) == 0:
+        phi_a, phi_b = [phi_a], [phi_b]
+    elif np.ndim(phi_a) != 1 or np.ndim(phi_b) != 1 or len(phi_a) != len(phi_b):
+        raise ValueError("phi_a and phi_b must be two angles or two equal-length sequences of angles")
+    for label, angles in (("phi_a", phi_a), ("phi_b", phi_b)):
+        for angle in angles:
+            check_range(angle, f"angle {label} must be finite")
+    return list(zip(phi_a, phi_b))
+
+
 def classical_correlation(
     model: HiddenVariableModel,
-    phi_a: float,
-    phi_b: float,
+    phi_a,
+    phi_b,
     n_nodes: int = DEFAULT_NODES,
     method: str = "grid",
     seed: Optional[int] = None,
-) -> float:
+):
     """Expectation of eps(phi_a, .) eps(phi_b, .) under the model's density.
 
     integral density(lam) eps(phi_a, lam) eps(phi_b, lam) d(lam), by an
@@ -221,9 +248,14 @@ def classical_correlation(
     angles.  Note this is the overlap of one party's outcome function with
     itself at two settings; the anti-aligned pair expectation that enters
     the Bell bound is :func:`singlet_correlation`.
+
+    ``phi_a`` and ``phi_b`` are two angles, giving a float, or two
+    equal-length sequences, giving an array with one value per pair
+    (phi_a[i], phi_b[i]).  The nodes (or the Monte-Carlo draw) and the
+    density are evaluated once, and eps once per distinct angle, so each
+    value is bit-equal to the call on its pair alone.
     """
-    check_range(phi_a, "angle phi_a must be finite")
-    check_range(phi_b, "angle phi_b must be finite")
+    pairs = _angle_pairs(phi_a, phi_b)
     check_range(n_nodes, "n_nodes must be positive", 1)
     lo, hi = model.domain
     if method == "grid":
@@ -234,25 +266,30 @@ def classical_correlation(
     else:
         raise ValueError(f'integration method must be "grid" or "mc", got {method!r}')
     weights = np.asarray(model.density(lam), dtype=float) * (hi - lo)
-    vals = weights * model.epsilon(phi_a, lam) * model.epsilon(phi_b, lam)
-    return float(vals.mean())
+    outcomes: dict = {}
+    for angle in itertools.chain.from_iterable(pairs):
+        if angle not in outcomes:
+            outcomes[angle] = model.epsilon(angle, lam)
+    values = [float((weights * outcomes[a] * outcomes[b]).mean()) for a, b in pairs]
+    return np.array(values) if np.ndim(phi_a) else values[0]
 
 
 def singlet_correlation(
     model: HiddenVariableModel,
-    phi_a: float,
-    phi_b: float,
+    phi_a,
+    phi_b,
     n_nodes: int = DEFAULT_NODES,
     method: str = "grid",
     seed: Optional[int] = None,
-) -> float:
+):
     """Pair correlation with the partner's outcomes anti-aligned.
 
     Perfect anticorrelation at equal angles forces eps_B = -eps_A, so the
     model's prediction for the product of the two parties' outcomes is the
     negative of :func:`classical_correlation`.  This is the quantity
     comparable with :func:`quantum_correlation` and bounded by
-    :func:`baby_bell_check`.
+    :func:`baby_bell_check`.  Takes two angles or two equal-length
+    sequences of them, as :func:`classical_correlation` does.
     """
     return -classical_correlation(model, phi_a, phi_b, n_nodes, method, seed)
 

@@ -36,7 +36,7 @@ from .bell import (
     violation_scan,
 )
 from .isomorphisms import bell_basis_matrix, cat, coherent_to_tensor, flip, DOWN, UP
-from .measurement import PARALLEL, outcome_probability, sample_outcomes
+from .measurement import _MAX_DRAWS, PARALLEL, outcome_probability, sample_outcomes
 from .quantization import (
     DEFAULT_SAMPLES, MIN_SAMPLES, fourier_coefficients, fourier_series_from_json, identity_residual, quantize
 )
@@ -191,6 +191,8 @@ def _cmd_identity_check(args) -> int:
 #: Grid points per output block of bell-scan, and rows per block of malus: the
 #: arrays and formatted text held at once are bounded by one block.  A bell-scan
 #: block is whole zeta rows when a row fits, and otherwise a piece of one row.
+#: A malus block draws its --mc-n counts from one seed stream, so the mc_freq
+#: bytes depend on this size.
 _SCAN_BLOCK_POINTS = 2048
 
 
@@ -198,7 +200,7 @@ def _cmd_malus(args) -> int:
     check_range(args.seed, "--seed must be non-negative", 0)
     check_range(args.steps, "--steps must be at least 2", 2)
     if args.mc_n is not None:
-        check_range(args.mc_n, "--mc-n must be positive", 1)
+        check_range(args.mc_n, f"--mc-n must be positive and at most {_MAX_DRAWS}", 1, _MAX_DRAWS)
     light = DensityParams(args.r0, args.phi0)
     phis = np.linspace(0.0, math.pi, args.steps)
     fields = ["phi", "p_parallel", "p_perpendicular"]
@@ -206,15 +208,15 @@ def _cmd_malus(args) -> int:
         fields.append("mc_freq")
 
     def blocks():
-        for start in range(0, args.steps, _SCAN_BLOCK_POINTS):
-            phi = phis[start : start + _SCAN_BLOCK_POINTS].tolist()
-            p_par = [outcome_probability(light, x, PARALLEL) for x in phi]
-            columns = [phi, p_par, [1.0 - p for p in p_par]]
+        for block, start in enumerate(range(0, args.steps, _SCAN_BLOCK_POINTS)):
+            phi = phis[start : start + _SCAN_BLOCK_POINTS]
+            p_par = outcome_probability(light, phi, PARALLEL)
+            columns = [phi, p_par, 1.0 - p_par]
             if args.mc_n is not None:
-                # row i's own child stream, SeedSequence(seed).spawn(steps)[i], built per row
-                seeds = (np.random.SeedSequence(args.seed, spawn_key=(i,)) for i in range(start, start + len(phi)))
-                columns.append([sample_outcomes(p, args.mc_n, seed)[0] / args.mc_n for p, seed in zip(p_par, seeds)])
-            yield [list(map(repr, column)) for column in columns]
+                # the block's own child stream, SeedSequence(seed).spawn(n_blocks)[block]
+                seed = np.random.SeedSequence(args.seed, spawn_key=(block,))
+                columns.append(sample_outcomes(p_par, args.mc_n, seed)[0] / args.mc_n)
+            yield [list(map(repr, column.tolist())) for column in columns]
 
     _emit_table(args, fields, blocks())
     return 0
@@ -271,22 +273,24 @@ def _cmd_bell_scan(args) -> int:
 
 def _cmd_correlate(args) -> int:
     check_range(args.n_nodes, "--n-nodes must be positive", 1)
+    pairs = [(args.phi_a, args.phi_b)]
+    if args.phi_c is not None:
+        pairs += [(args.phi_a, args.phi_c), (args.phi_b, args.phi_c)]
     if args.model == "quantum":
-        correlation = quantum_correlation
+        values = [quantum_correlation(x, y) for x, y in pairs]
     else:
-        model = BUILTIN_MODELS[args.model]()
-        def correlation(x, y):
-            return singlet_correlation(model, x, y, args.n_nodes)
+        # one call for every pair: the model's outcomes are evaluated once per angle
+        phi_x, phi_y = zip(*pairs)
+        values = singlet_correlation(BUILTIN_MODELS[args.model](), phi_x, phi_y, args.n_nodes).tolist()
 
     payload: dict = {"model": args.model, "phi_a": args.phi_a, "phi_b": args.phi_b}
     if args.model != "quantum":
         payload["n_nodes"] = args.n_nodes
-    payload["p_ab"] = correlation(args.phi_a, args.phi_b)
+    payload["p_ab"] = values[0]
     if args.phi_c is not None:
         payload["phi_c"] = args.phi_c
-        payload["p_ac"] = correlation(args.phi_a, args.phi_c)
-        payload["p_bc"] = correlation(args.phi_b, args.phi_c)
-        report = baby_bell_check(payload["p_ab"], payload["p_ac"], payload["p_bc"])
+        payload["p_ac"], payload["p_bc"] = values[1:]
+        report = baby_bell_check(*values)
         payload.update(
             {"lhs": report.lhs, "rhs": report.rhs, "violated": report.violated, "margin": report.margin}
         )

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityParams, check_range, density_matrix, projector, rotation, wrap_orientation, wrap_state_angle
+from .bell import _kron
+from .states import TWO_PI, DensityParams, check_range, density_matrix, projector, rotation, wrap_orientation
 
 PARALLEL = "parallel"
 PERPENDICULAR = "perpendicular"
@@ -67,7 +68,7 @@ def dirac_cumulative(profile: DiracProfile, t: float) -> float:
 
 def _rotate_on(a: float, p: np.ndarray, b: float, q: np.ndarray) -> np.ndarray:
     """R(a) (x) P + R(b) (x) Q: the pointer rotates by a on the range of P, by b on that of Q."""
-    return np.kron(rotation(a), p) + np.kron(rotation(b), q)
+    return _kron(rotation(a), p) + _kron(rotation(b), q)
 
 
 def exp_projector(theta: float, p: np.ndarray) -> np.ndarray:
@@ -115,11 +116,11 @@ def evolve_joint(
     symmetric, trace one, and positive semidefinite.
     """
     u = evolution_operator(1.0, interaction_r, interaction_phi)
-    joint = np.kron(density_matrix(pointer), density_matrix(light))
+    joint = _kron(density_matrix(pointer), density_matrix(light))
     return u @ joint @ u.T
 
 
-def outcome_probability(light: DensityParams, interaction_phi: float, orientation: str) -> float:
+def outcome_probability(light: DensityParams, interaction_phi, orientation: str):
     """Probability of finding the light along (or across) the polarizer axis.
 
     parallel:      (1 + r0 cos 2(phi - phi0)) / 2
@@ -128,16 +129,24 @@ def outcome_probability(light: DensityParams, interaction_phi: float, orientatio
     with (r0, phi0) the light state and phi the polarizer axis.  These
     equal the trace of the evolved joint state against I (x) E_phi and
     I (x) E_{phi+pi/2}, independently of the pointer preparation.
+
+    ``interaction_phi`` is one angle, giving a float, or an array of
+    angles, giving an array of the same shape; both go through one numpy
+    closed form, so an element of the array is bit-equal to the call on
+    that angle alone.  A non-finite angle gives NaN, as float arithmetic
+    would.
     """
+    if orientation not in (PARALLEL, PERPENDICULAR):
+        raise ValueError(f'orientation must be "{PARALLEL}" or "{PERPENDICULAR}", got {orientation!r}')
     # pi-periodic in both angles: reduce them before doubling, so a huge phi or phi0 stays finite;
-    # wrap_state_angle leaves [0, 2 pi) as it is, the malus grid [0, pi] included
-    phi = wrap_state_angle(interaction_phi)
-    aligned = 0.5 * (1.0 + light.r * math.cos(2.0 * (phi - wrap_orientation(light.phi))))
-    if orientation == PARALLEL:
-        return aligned
-    if orientation == PERPENDICULAR:
-        return 1.0 - aligned
-    raise ValueError(f'orientation must be "{PARALLEL}" or "{PERPENDICULAR}", got {orientation!r}')
+    # the modulo leaves [0, 2 pi) as it is, the malus grid [0, pi] included
+    with np.errstate(invalid="ignore"):
+        phi = np.mod(interaction_phi, TWO_PI)
+        # a tiny negative angle can round the modulo up to the period itself
+        phi = np.where(phi == TWO_PI, 0.0, phi)
+        aligned = 0.5 * (1.0 + light.r * np.cos(2.0 * (phi - wrap_orientation(light.phi))))
+    p = aligned if orientation == PARALLEL else 1.0 - aligned
+    return p if np.ndim(interaction_phi) else float(p)
 
 
 @dataclass(frozen=True)
@@ -168,16 +177,33 @@ def measurement_outcomes(
     )
 
 
-def sample_outcomes(p_parallel: float, n: int, seed: int) -> tuple[int, int]:
+#: The largest draw count numpy's binomial sampler takes (a C long on 64-bit platforms).
+_MAX_DRAWS = 2**63 - 1
+
+
+def sample_outcomes(p_parallel, n: int, seed):
     """Count parallel/perpendicular outcomes over n seeded Bernoulli draws.
 
+    The parallel count of n independent draws is Binomial(n, p_parallel),
+    and it is drawn as such: one ``Generator.binomial`` call, whatever n.
+    ``p_parallel`` is one probability, giving a pair of ints, or an array
+    of them, giving a pair of integer arrays with one count per element,
+    each over its own n draws.  ``n`` lies in [1, 2**63 - 1].
+
     Deterministic: identical (p_parallel, n, seed) always yields identical
-    counts.  For independent batches pass the children of one
-    ``numpy.random.SeedSequence(seed).spawn(n_batches)`` as seeds; each
-    call owns its own generator state.
+    counts.  ``seed`` is anything ``numpy.random.default_rng`` takes; for
+    independent batches pass the children of one
+    ``numpy.random.SeedSequence(seed).spawn(n_batches)``, each of which
+    owns its own generator state.
+
+    Raises:
+        ValueError: if a probability is NaN or outside [0, 1], or n is
+            outside [1, 2**63 - 1].
     """
-    check_range(p_parallel, "probability must lie in [0, 1]", 0.0, 1.0)
-    check_range(n, "sample count must be positive", 1)
-    rng = np.random.default_rng(seed)
-    count = int((rng.random(n) < p_parallel).sum())
-    return count, n - count
+    for extreme in (np.min, np.max):
+        check_range(float(extreme(p_parallel)), "probability must lie in [0, 1]", 0.0, 1.0)
+    check_range(n, f"sample count must be positive and at most {_MAX_DRAWS}", 1, _MAX_DRAWS)
+    count = np.random.default_rng(seed).binomial(n, p_parallel)
+    if np.ndim(p_parallel):
+        return count, n - count
+    return int(count), n - int(count)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from planeqm.bell import (
+    _kron,
     BUILTIN_MODELS,
     BellKind,
     HiddenVariableModel,
@@ -25,7 +26,8 @@ from planeqm.bell import (
     to_kron_order,
     violation_scan,
 )
-from planeqm.states import TWO_PI, pure_state, sigma_phi
+from planeqm.measurement import evolution_operator
+from planeqm.states import TWO_PI, projector, pure_state, rotation, sigma_phi
 
 angles = st.floats(min_value=-10.0, max_value=10.0)
 
@@ -70,6 +72,41 @@ def test_sigma_tensor_against_explicit_kron_oracle():
         basis = basis_vectors_diag_first()
         expected = np.array([[bi @ kron_op @ bj for bj in basis] for bi in basis])
         assert_allclose(sigma_tensor(a, b), expected, atol=1e-14)
+
+
+def _same_bits(got, want):
+    # np.array_equal takes -0.0 == 0.0, so compare the signs of the zeros as well
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_kron_helper_is_bit_equal_to_numpy_kron():
+    rng = np.random.default_rng(2000)
+    for shape in ((2, 2), (2,)):
+        for _ in range(2000):
+            a, b = rng.normal(size=shape), rng.normal(size=shape)
+            # signed zeros, in either factor
+            a[rng.random(shape) < 0.25] = 0.0
+            b[rng.random(shape) < 0.25] = -0.0
+            a, b = a * rng.choice([1.0, -1.0], shape), b * rng.choice([1.0, -1.0], shape)
+            assert _same_bits(_kron(a, b), np.kron(a, b))
+
+
+def test_kron_call_sites_are_bit_equal_to_numpy_kron():
+    rng = np.random.default_rng(2001)
+    angles = [0.0, -0.0, math.pi / 2, -math.pi, *rng.uniform(-10.0, 10.0, 2000)]
+    eigenvectors = {1: lambda phi: pure_state(phi / 2.0), -1: lambda phi: pure_state((phi + math.pi) / 2.0)}
+    for a, b in zip(angles, rng.permutation(angles)):
+        assert _same_bits(sigma_tensor(a, b), from_kron_order(np.kron(sigma_phi(a), sigma_phi(b))))
+        psi = bell_state(BellKind.PSI_MINUS)
+        amps = {
+            (ea, eb): float(from_kron_order(np.kron(ua(a), ub(b))) @ psi)
+            for ea, ua in eigenvectors.items() for eb, ub in eigenvectors.items()
+        }
+        assert joint_probabilities(BellKind.PSI_MINUS, a, b) == {key: amp * amp for key, amp in amps.items()}
+    for g, r, phi in rng.uniform([0.0, 0.0, -10.0], [1.0, 1.0, 10.0], (200, 3)):
+        e_par, e_perp = projector(phi), projector(phi + 0.5 * math.pi)
+        want = np.kron(rotation(g * (1.0 + r) / 2.0), e_par) + np.kron(rotation(g * (1.0 - r) / 2.0), e_perp)
+        assert _same_bits(evolution_operator(g, r, phi), want)
 
 
 def test_sigma_tensor_examples():
@@ -230,6 +267,47 @@ def test_singlet_correlation_is_anti_aligned():
     assert singlet_correlation(model, 0.2, 1.5) == pytest.approx(
         -classical_correlation(model, 0.2, 1.5)
     )
+
+
+def _counting_model():
+    """A custom model, non-uniform density on its own domain, that counts its outcome evaluations."""
+    calls = []
+
+    def epsilon(phi, lam):
+        calls.append(phi)
+        return np.where(np.sin(2.0 * phi + lam) >= 0.0, 1.0, -1.0)
+
+    model = HiddenVariableModel(epsilon=epsilon, density=lambda lam: (1.0 + np.cos(lam)) / TWO_PI, domain=(-math.pi, math.pi))
+    calls.clear()  # registration probes epsilon once
+    return model, calls
+
+
+PHI_A = [0.3, 1.1, 0.3, -2.0, 1.1, 7.5]
+PHI_B = [1.1, 0.3, 0.3, 5.0, -2.0, 7.5]
+
+
+@pytest.mark.parametrize("correlation", [classical_correlation, singlet_correlation])
+@pytest.mark.parametrize("model", ["sign-cos", "sign-projection", "custom"])
+@pytest.mark.parametrize("method,seed", [("grid", None), ("mc", 9)])
+def test_correlation_of_sequences_equals_per_pair_calls(correlation, model, method, seed):
+    built = BUILTIN_MODELS[model]() if model != "custom" else _counting_model()[0]
+    for phi_a, phi_b in ((PHI_A, PHI_B), (np.array(PHI_A), tuple(PHI_B)), ([0.4], [0.4])):
+        got = correlation(built, phi_a, phi_b, 1000, method, seed)
+        want = [correlation(built, a, b, 1000, method, seed) for a, b in zip(phi_a, phi_b)]
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    assert type(correlation(built, 0.3, 1.1, 1000, method, seed)) is float
+
+
+def test_correlation_of_sequences_evaluates_each_angle_once():
+    model, calls = _counting_model()
+    singlet_correlation(model, PHI_A, PHI_B)
+    assert sorted(calls) == sorted(set(PHI_A + PHI_B))
+
+
+@pytest.mark.parametrize("phi_a,phi_b", [([0.1, 0.2], [0.3]), ([0.1], 0.3), ([[0.1]], [[0.3]])])
+def test_correlation_refuses_unpaired_angles(phi_a, phi_b):
+    with pytest.raises(ValueError, match="equal-length sequences"):
+        singlet_correlation(sign_cosine_model(), phi_a, phi_b)
 
 
 # ---------------------------------------------------------------------------

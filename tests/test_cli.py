@@ -19,7 +19,7 @@ from planeqm.bell import (
 )
 from planeqm.cli import main
 from planeqm.isomorphisms import coherent_to_tensor
-from planeqm.measurement import PARALLEL, outcome_probability, sample_outcomes
+from planeqm.measurement import PARALLEL, outcome_probability
 from planeqm.quantization import fourier_coefficients, fourier_series_from_json, identity_residual, quantize
 from planeqm.states import DensityParams
 
@@ -243,16 +243,38 @@ _UNALLOCATABLE = str(10**18)
         ["correlate", "--model", "sign-cos", "--phi-a", "0", "--phi-b", "1", "--n-nodes", _UNALLOCATABLE],
         ["identity-check", "--r", "0.5", "--samples", _UNALLOCATABLE],
         ["malus", "--r0", "0.5", "--steps", _UNALLOCATABLE, "--mc-n", "1"],
-        ["malus", "--r0", "0.5", "--steps", "3", "--mc-n", _UNALLOCATABLE, "--format", "csv"],
-        ["malus", "--r0", "0.5", "--steps", "3", "--mc-n", _UNALLOCATABLE, "--format", "json"],
     ],
-    ids=["bell-scan", "correlate", "identity-check", "malus-mc", "malus-draws-csv", "malus-draws-json"],
+    ids=["bell-scan", "correlate", "identity-check", "malus-mc"],
 )
 def test_unallocatable_size_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("error: Unable to allocate ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_malus_huge_draw_count_is_one_binomial_draw(capsys, fmt):
+    # 10**18 draws per row allocate nothing: each row's count is one Binomial(n, p) draw
+    n = 10**18
+    code, out, err = run(capsys, "malus", "--r0", "0.5", "--steps", "3", "--mc-n", str(n), "--format", fmt)
+    assert (code, err) == (0, "")
+    rows = json.loads(out) if fmt == "json" else [
+        dict(zip(("phi", "p_parallel", "p_perpendicular", "mc_freq"), map(float, line.split(","))))
+        for line in out.strip().split("\n")[1:]
+    ]
+    assert len(rows) == 3
+    for row in rows:
+        p = row["p_parallel"]
+        assert abs(row["mc_freq"] - p) <= 6 * math.sqrt(p * (1 - p) / n) + 1 / n
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_malus_refuses_draw_count_above_int64(capsys, fmt):
+    too_many = str(2**63)
+    code, out, err = run(capsys, "malus", "--r0", "0.5", "--steps", "3", "--mc-n", too_many, "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == f"error: --mc-n must be positive and at most {2**63 - 1}, got {too_many}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +327,23 @@ def test_malus_invalid_mixing_exits_3(capsys):
 
 
 def reference_malus(r0, steps, mc_n, seed, fmt):
-    """malus output built whole: every row first, then one json.dumps or one CSV join."""
+    """malus output built whole: every row first, then one json.dumps or one CSV join.
+
+    The rows of block b (``cli._SCAN_BLOCK_POINTS`` rows each) draw their
+    counts from child b of ``SeedSequence(seed)``, one binomial draw per row.
+    """
     light = DensityParams(r0, 0.0)
     header = ["phi", "p_parallel", "p_perpendicular"] + (["mc_freq"] if mc_n else [])
-    rows = []
-    streams = np.random.SeedSequence(seed).spawn(steps)
-    for phi, stream in zip(np.linspace(0.0, math.pi, steps).tolist(), streams):
-        p_par = outcome_probability(light, phi, PARALLEL)
-        row = [phi, p_par, 1.0 - p_par]
-        if mc_n:
-            count, _ = sample_outcomes(p_par, mc_n, stream)
-            row.append(count / mc_n)
-        rows.append(row)
+    phis = np.linspace(0.0, math.pi, steps).tolist()
+    p_par = [outcome_probability(light, phi, PARALLEL) for phi in phis]
+    rows = [[phi, p, 1.0 - p] for phi, p in zip(phis, p_par)]
+    if mc_n:
+        size = cli._SCAN_BLOCK_POINTS
+        streams = np.random.SeedSequence(seed).spawn(-(-steps // size))
+        for b, stream in enumerate(streams):
+            counts = np.random.default_rng(stream).binomial(mc_n, p_par[b * size : (b + 1) * size])
+            for row, count in zip(rows[b * size :], counts.tolist()):
+                row.append(count / mc_n)
     if fmt == "json":
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     return "\n".join([",".join(header), *(",".join(map(repr, row)) for row in rows)]) + "\n"
@@ -350,10 +377,14 @@ def test_malus_writes_bounded_blocks(capsys, monkeypatch, tmp_path, fmt):
     assert target.read_text(encoding="utf-8") == "".join(stream.chunks)
 
 
-def test_malus_failing_draw_opens_no_output(capsys, tmp_path):
+def test_malus_failing_draw_opens_no_output(capsys, monkeypatch, tmp_path):
+    def unallocatable(*_):
+        raise MemoryError("Unable to allocate the draws")
+
+    monkeypatch.setattr(cli, "sample_outcomes", unallocatable)
     target = tmp_path / "malus.out"
-    argv = ["malus", "--r0", "0.5", "--steps", "3", "--mc-n", _UNALLOCATABLE, "--output", str(target)]
-    assert run(capsys, *argv)[0] == 3
+    argv = ["malus", "--r0", "0.5", "--steps", "3", "--mc-n", "10", "--output", str(target)]
+    assert run(capsys, *argv) == (3, "", "error: Unable to allocate the draws\n")
     assert not target.exists()
 
 

@@ -190,6 +190,25 @@ def test_outcome_probability_examples():
         outcome_probability(DensityParams(0.5, 0.0), 0.0, "diagonal")
 
 
+@pytest.mark.parametrize("orientation", [PARALLEL, PERPENDICULAR])
+def test_outcome_probability_array_equals_scalar_calls(orientation):
+    rng = np.random.default_rng(17)
+    grids = [
+        *(np.linspace(0.0, math.pi, steps) for steps in (2, 3, 17, 2047, 2048, 2049)),
+        -rng.uniform(0.0, 50.0, 500),
+        rng.uniform(-1e300, 1e300, 500),
+        np.array([-0.0, -1e-300, -5e-324, 2 * math.pi, -2 * math.pi, 1e300, -1e300]),
+    ]
+    for r0, phi0 in [(1.0, 0.0), *zip(rng.uniform(0.0, 1.0, 4), rng.uniform(-10.0, 10.0, 4))]:
+        light = DensityParams(float(r0), float(phi0))
+        for grid in grids:
+            got = outcome_probability(light, grid, orientation)
+            want = [outcome_probability(light, phi, orientation) for phi in grid.tolist()]
+            assert got.shape == grid.shape
+            assert np.array_equal(got, want)
+    assert type(outcome_probability(DensityParams(0.5, 0.3), 0.3, orientation)) is float
+
+
 @given(mixings, angles, angles)
 def test_outcome_probabilities_sum_to_one(r0, phi0, phi):
     light = DensityParams(r0, phi0)
@@ -269,6 +288,34 @@ def test_sample_outcomes_frequency_converges(p, seed):
     n = 100_000
     count, _ = sample_outcomes(p, n, seed)
     assert abs(count / n - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+
+def test_sample_outcomes_array_degenerate_probabilities_are_exact():
+    counts, perpendicular = sample_outcomes(np.array([0.0, 1.0, 1.0, 0.0]), 100, 7)
+    assert counts.tolist() == [0, 100, 100, 0]
+    assert perpendicular.tolist() == [100, 0, 0, 100]
+
+
+def test_sample_outcomes_array_frequencies_within_4_sigma():
+    n = 100_000
+    p = np.tile([0.1, 0.5, 0.87], 20)
+    counts, perpendicular = sample_outcomes(p, n, np.random.SeedSequence(5))
+    assert np.array_equal(counts + perpendicular, np.full(p.shape, n))
+    assert np.all(np.abs(counts / n - p) < 4 * np.sqrt(p * (1 - p) / n))
+    assert np.array_equal(counts, sample_outcomes(p, n, np.random.SeedSequence(5))[0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.2, -0.1, math.inf])
+def test_sample_outcomes_array_refuses_a_bad_probability(bad):
+    with pytest.raises(ValueError, match=r"^probability must lie in \[0, 1\], got "):
+        sample_outcomes(np.array([0.5, bad, 0.25]), 10, 0)
+
+
+def test_sample_outcomes_draw_count_bound():
+    count, perpendicular = sample_outcomes(0.5, 2**63 - 1, 3)
+    assert type(count) is int and count + perpendicular == 2**63 - 1
+    with pytest.raises(ValueError, match=f"at most {2**63 - 1}, got {2**63}$"):
+        sample_outcomes(0.5, 2**63, 3)
 
 
 def test_sample_outcomes_validation():

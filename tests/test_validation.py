@@ -136,6 +136,15 @@ def test_validated_parameter_refuses_non_finite(call, value):
 
 
 @pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("correlation", [classical_correlation, singlet_correlation])
+def test_correlation_refuses_a_non_finite_element(correlation, value):
+    # the message of the call on that pair alone
+    for label, pair in (("phi_a", ([0.0, value], [0.1, 0.2])), ("phi_b", ([0.0, 0.1], [0.2, value]))):
+        with pytest.raises(ValueError, match=rf"^angle {label} must be finite, got {value}$"):
+            correlation(sign_cosine_model(), *pair)
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("shape", ["box", "gaussian"])
 def test_dirac_cumulative_refuses_non_finite_time(shape, value):
     with pytest.raises(ValueError, match=r"^time t must be finite, got "):
