@@ -8,174 +8,18 @@ hidden-variable correlations, and the isomorphism chain to C^2 and the
 quaternions.  A CLI (``planeqm``) exposes reproducible scans and demos.
 """
 
-from .states import (
-    DECOMPOSE_TOL,
-    SIGMA1,
-    SIGMA3,
-    STRUCTURAL_TOL,
-    TAU2,
-    TWO_PI,
-    DensityParams,
-    density_matrix,
-    projector,
-    pure_state,
-    rotation,
-    sigma_phi,
-    spectral_decompose,
-    tau2_conjugate,
-    wrap_orientation,
-    wrap_state_angle,
-)
-from .quantization import (
-    BorelSet,
-    CircleFunction,
-    FourierData,
-    FourierSeries,
-    SuperpositionResult,
-    commutator_e1_e2,
-    fourier_coefficients,
-    fourier_series_from_json,
-    fourier_series_to_json,
-    identity_residual,
-    povm_element,
-    quantize,
-    superposition_density,
-)
-from .measurement import (
-    PARALLEL,
-    PERPENDICULAR,
-    DiracProfile,
-    MeasurementOutcome,
-    dirac_cumulative,
-    evolution_operator,
-    evolve_joint,
-    exp_projector,
-    measurement_outcomes,
-    outcome_probability,
-    sample_outcomes,
-)
-from .bell import (
-    BUILTIN_MODELS,
-    BellKind,
-    HiddenVariableModel,
-    InequalityReport,
-    ScanGrid,
-    ScanPoint,
-    baby_bell_check,
-    bell_state,
-    classical_correlation,
-    from_kron_order,
-    joint_probabilities,
-    quantum_correlation,
-    sigma_tensor,
-    sign_cosine_model,
-    sign_projection_model,
-    sin_inequality,
-    singlet_correlation,
-    to_kron_order,
-    violation_scan,
-)
-from .isomorphisms import (
-    DOWN,
-    UP,
-    Quaternion,
-    bell_basis_matrix,
-    cat,
-    coherent_state,
-    coherent_to_tensor,
-    complex_from_coords,
-    complex_pair_to_quaternion,
-    complex_to_tensor,
-    conjugation,
-    d_half_matrix,
-    flip,
-    hamilton_product,
-    quaternion_matrix,
-    quaternion_to_complex_pair,
-    real_rep,
-    real_structure_coords,
-    tensor_to_complex,
-)
+from . import bell, isomorphisms, measurement, quantization, states
+from .states import *
+from .quantization import *
+from .measurement import *
+from .bell import *
+from .isomorphisms import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_MODELS",
-    "BellKind",
-    "BorelSet",
-    "CircleFunction",
-    "DECOMPOSE_TOL",
-    "DOWN",
-    "DensityParams",
-    "DiracProfile",
-    "FourierData",
-    "FourierSeries",
-    "HiddenVariableModel",
-    "InequalityReport",
-    "MeasurementOutcome",
-    "PARALLEL",
-    "PERPENDICULAR",
-    "Quaternion",
-    "SIGMA1",
-    "SIGMA3",
-    "STRUCTURAL_TOL",
-    "ScanGrid",
-    "ScanPoint",
-    "SuperpositionResult",
-    "TAU2",
-    "TWO_PI",
-    "UP",
-    "baby_bell_check",
-    "bell_basis_matrix",
-    "bell_state",
-    "cat",
-    "classical_correlation",
-    "coherent_state",
-    "coherent_to_tensor",
-    "commutator_e1_e2",
-    "complex_from_coords",
-    "complex_pair_to_quaternion",
-    "complex_to_tensor",
-    "conjugation",
-    "d_half_matrix",
-    "density_matrix",
-    "dirac_cumulative",
-    "evolution_operator",
-    "evolve_joint",
-    "exp_projector",
-    "flip",
-    "fourier_coefficients",
-    "fourier_series_from_json",
-    "fourier_series_to_json",
-    "from_kron_order",
-    "hamilton_product",
-    "identity_residual",
-    "joint_probabilities",
-    "measurement_outcomes",
-    "outcome_probability",
-    "povm_element",
-    "projector",
-    "pure_state",
-    "quantize",
-    "quantum_correlation",
-    "quaternion_matrix",
-    "quaternion_to_complex_pair",
-    "real_rep",
-    "real_structure_coords",
-    "rotation",
-    "sample_outcomes",
-    "sigma_phi",
-    "sigma_tensor",
-    "sign_cosine_model",
-    "sign_projection_model",
-    "sin_inequality",
-    "singlet_correlation",
-    "spectral_decompose",
-    "superposition_density",
-    "tau2_conjugate",
-    "tensor_to_complex",
-    "to_kron_order",
-    "violation_scan",
-    "wrap_orientation",
-    "wrap_state_angle",
-]
+__all__ = []
+__all__ += states.__all__
+__all__ += quantization.__all__
+__all__ += measurement.__all__
+__all__ += bell.__all__
+__all__ += isomorphisms.__all__

@@ -27,6 +27,14 @@ zeta = eta exactly for 0 < |eta| < pi/4.
 
 from __future__ import annotations
 
+__all__ = [
+    "BUILTIN_MODELS", "BellKind", "HiddenVariableModel", "InequalityReport", "ScanGrid",
+    "ScanPoint", "baby_bell_check", "bell_state", "classical_correlation", "from_kron_order",
+    "joint_probabilities", "quantum_correlation", "sigma_tensor", "sign_cosine_model",
+    "sign_projection_model", "sin_inequality", "singlet_correlation", "to_kron_order",
+    "violation_scan",
+]
+
 import functools
 import itertools
 import math

@@ -27,6 +27,13 @@ antilinear maps anticommute).
 
 from __future__ import annotations
 
+__all__ = [
+    "DOWN", "UP", "Quaternion", "bell_basis_matrix", "cat", "coherent_state", "coherent_to_tensor",
+    "complex_from_coords", "complex_pair_to_quaternion", "complex_to_tensor", "conjugation",
+    "d_half_matrix", "flip", "hamilton_product", "quaternion_matrix", "quaternion_to_complex_pair",
+    "real_rep", "real_structure_coords", "tensor_to_complex",
+]
+
 import math
 from dataclasses import dataclass
 from typing import Callable

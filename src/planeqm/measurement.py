@@ -21,6 +21,12 @@ probability and pointer rotation (1-r)/2.
 
 from __future__ import annotations
 
+__all__ = [
+    "PARALLEL", "PERPENDICULAR", "DiracProfile", "MeasurementOutcome", "dirac_cumulative",
+    "evolution_operator", "evolve_joint", "exp_projector", "measurement_outcomes",
+    "outcome_probability", "sample_outcomes",
+]
+
 import math
 from dataclasses import dataclass
 

@@ -27,6 +27,13 @@ integral_over_delta rho d(phi)/pi, additive up to rounding in the last bits.
 
 from __future__ import annotations
 
+__all__ = [
+    "BorelSet", "CircleFunction", "FourierData", "FourierSeries", "SuperpositionResult",
+    "commutator_e1_e2", "fourier_coefficients", "fourier_series_from_json",
+    "fourier_series_to_json", "identity_residual", "povm_element", "quantize",
+    "superposition_density",
+]
+
 import json
 import math
 import numbers
@@ -318,9 +325,13 @@ def superposition_density(
     check_range(n_samples, f"n_samples must be at least {MIN_SAMPLES}", MIN_SAMPLES)
     phis = _quadrature_grid(n_samples)
     acc = np.zeros((2, 2))
-    for p in phis:
-        weight = 0.5 + (s / r) * math.cos(2.0 * p)
-        acc += weight * density_matrix(DensityParams(r, theta + p))
+    # s/r overflows the weights for a tiny r; the check below refuses the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in phis:
+            weight = 0.5 + (s / r) * math.cos(2.0 * p)
+            acc += weight * density_matrix(DensityParams(r, theta + p))
+    if not np.isfinite(acc).all():
+        raise ValueError("superposition matrix is not finite")
     min_weight = 0.5 - s / r
     return SuperpositionResult(acc * (2.0 / n_samples), min_weight >= 0.0, min_weight)
 

@@ -25,6 +25,12 @@ freshly allocated on every call.
 
 from __future__ import annotations
 
+__all__ = [
+    "DECOMPOSE_TOL", "SIGMA1", "SIGMA3", "STRUCTURAL_TOL", "TAU2", "TWO_PI", "DensityParams",
+    "density_matrix", "projector", "pure_state", "rotation", "sigma_phi", "spectral_decompose",
+    "tau2_conjugate", "wrap_orientation", "wrap_state_angle",
+]
+
 import math
 from dataclasses import dataclass
 

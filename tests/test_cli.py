@@ -1,6 +1,7 @@
 import errno
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -84,6 +85,20 @@ def test_quantize_malformed_json_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "malformed" in err
+
+
+def test_quantize_terms_not_a_list_exits_2(capsys):
+    code, out, err = run(capsys, "quantize", '{"a0": 1, "terms": 5}', "--r", "0.5")
+    assert (code, out) == (2, "")
+    assert err == 'error: malformed Fourier series: "terms" must be a list of {k, ak, bk} objects\n'
+
+
+def test_quantize_unreadable_series_file_exits_2(capsys, tmp_path):
+    # the path exists, so it is read as a file; a directory cannot be
+    code, out, err = run(capsys, "quantize", str(tmp_path), "--r", "0.5")
+    assert (code, out) == (2, "")
+    reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
+    assert err == f"error: cannot read Fourier series file: {reason}\n"
 
 
 def test_quantize_out_of_range_mixing_exits_3(capsys):

@@ -260,6 +260,12 @@ def test_hamilton_product_associative_and_norm_multiplicative(p, q, s):
     assert pq.norm_squared == pytest.approx(p.norm_squared * q.norm_squared, rel=1e-10, abs=1e-10)
 
 
+@given(quaternions, quaternions)
+def test_quaternion_norm_is_root_of_norm_squared_and_multiplicative(p, q):
+    assert p.norm == pytest.approx(math.sqrt(p.norm_squared), abs=1e-12)
+    assert hamilton_product(p, q).norm == pytest.approx(p.norm * q.norm, abs=1e-12)
+
+
 def test_quaternion_complex_pair_examples():
     assert_allclose(quaternion_to_complex_pair(Quaternion(1, 0, 0, 0)), [1.0, 0.0], atol=0)
     assert_allclose(quaternion_to_complex_pair(I_Q), [0.0, 1j], atol=0)

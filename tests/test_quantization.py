@@ -328,6 +328,15 @@ def test_superposition_rejects_degenerate_family():
         superposition_density(1.2, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("r", [5e-324, 1e-308])
+def test_superposition_rejects_non_finite_matrix(r, n):
+    # s/r overflows the weights: all-NaN at the smallest subnormal, inf at 1e-308;
+    # no RuntimeWarning escapes, which the warning filter would turn into an error
+    with pytest.raises(ValueError, match="superposition matrix is not finite"):
+        superposition_density(1.0, 0.3, r, n)
+
+
 # ---------------------------------------------------------------------------
 # POVM
 
