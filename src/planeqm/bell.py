@@ -46,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .states import TWO_PI, check_range, pure_state, sigma_phi
+from .states import TWO_PI, check_count, check_range, pure_state, sigma_phi
 
 #: Diagonal-first component i sits at Kronecker (lexicographic) slot _PERM[i].
 _PERM = np.array([0, 3, 1, 2])
@@ -161,8 +161,12 @@ class HiddenVariableModel:
     ``epsilon(phi, lam)`` returns +-1 and ``density(lam)`` a nonnegative
     weight; both must accept numpy arrays of ``lam`` (evaluation is always
     vectorized over the hidden variable).  ``domain`` is the (lo, hi)
-    integration range.  Registration checks that the density integrates to
-    one within 1e-9 and that the outcomes really are +-1.
+    integration range.  Registration checks that the outcomes are +-1 at
+    64 midpoints spread over the domain and that the density is
+    nonnegative and integrates to one within 1e-9 on 2**20 midpoints.
+    The uniform density 1/(2 pi) of the built-in models, on its own
+    domain [0, 2 pi), integrates to one by construction and skips that
+    integral.
     """
 
     epsilon: Callable[[float, np.ndarray], np.ndarray]
@@ -174,14 +178,14 @@ class HiddenVariableModel:
         lo, hi = self.domain
         if not hi > lo:
             raise ValueError(f"domain ({lo}, {hi}) must have positive length")
-        lam = _midpoints(lo, hi, 1 << 20)
-        dens = np.asarray(self.density(lam), dtype=float)
-        if dens.min() < 0.0:
-            raise ValueError("density must be nonnegative")
-        total = float(dens.mean() * (hi - lo))
-        if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"density integrates to {total!r}, expected 1 within 1e-9")
-        probe = np.asarray(self.epsilon(0.37, lam[:64]), dtype=float)
+        if not (self.density is _uniform_density and (lo, hi) == (0.0, TWO_PI)):
+            dens = np.asarray(self.density(_midpoints(lo, hi, 1 << 20)), dtype=float)
+            if dens.min() < 0.0:
+                raise ValueError("density must be nonnegative")
+            total = float(dens.mean() * (hi - lo))
+            if not abs(total - 1.0) <= 1e-9:
+                raise ValueError(f"density integrates to {total!r}, expected 1 within 1e-9")
+        probe = np.asarray(self.epsilon(0.37, _midpoints(lo, hi, 64)), dtype=float)
         if not np.all(np.isin(probe, (-1.0, 1.0))):
             raise ValueError("epsilon must take values in {-1, +1}")
 
@@ -190,16 +194,25 @@ def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
 
 
+def _uniform_density(lam: np.ndarray) -> np.ndarray:
+    """The uniform hidden-direction density 1/(2 pi) of the built-in models."""
+    return np.full(np.shape(lam), 1.0 / TWO_PI)
+
+
 def _sign(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
 @functools.cache
 def _sign_model(name: str, scale: float) -> HiddenVariableModel:
-    """eps(phi, lam) = sgn(cos(scale * phi - lam)) with a uniform hidden direction, built and validated once."""
+    """eps(phi, lam) = sgn(cos(scale * phi - lam)) with the uniform hidden direction, built once.
+
+    Its density is :func:`_uniform_density`, so registration probes the
+    outcomes and allocates no 2**20-point integral.
+    """
     return HiddenVariableModel(
         epsilon=lambda phi, lam: _sign(np.cos(scale * phi - lam)),
-        density=lambda lam: np.full(np.shape(lam), 1.0 / TWO_PI),
+        density=_uniform_density,
         name=name,
     )
 
@@ -207,8 +220,7 @@ def _sign_model(name: str, scale: float) -> HiddenVariableModel:
 def sign_cosine_model() -> HiddenVariableModel:
     """eps(phi, lam) = sgn(cos(phi - lam)), uniform hidden direction.
 
-    Built and validated once per process; later calls return the same
-    (immutable) model.
+    Built once per process; later calls return the same (immutable) model.
     """
     return _sign_model("sign-cos", 1.0)
 
@@ -216,7 +228,7 @@ def sign_cosine_model() -> HiddenVariableModel:
 def sign_projection_model() -> HiddenVariableModel:
     """eps = sgn(u(phi/2) . u(lam)): the observable's +1 eigendirection projected on lam.
 
-    Built and validated once per process, like :func:`sign_cosine_model`.
+    Built once per process, like :func:`sign_cosine_model`.
     """
     return _sign_model("sign-projection", 0.5)
 
@@ -264,7 +276,7 @@ def classical_correlation(
     value is bit-equal to the call on its pair alone.
     """
     pairs = _angle_pairs(phi_a, phi_b)
-    check_range(n_nodes, "n_nodes must be positive", 1)
+    n_nodes = check_count(n_nodes, "n_nodes")
     lo, hi = model.domain
     if method == "grid":
         lam = _midpoints(lo, hi, n_nodes)

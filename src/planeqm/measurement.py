@@ -33,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import _kron
-from .states import TWO_PI, DensityParams, check_range, density_matrix, projector, rotation, wrap_orientation
+from .states import (
+    TWO_PI, DensityParams, check_count, check_range, density_matrix, projector, rotation, wrap_orientation,
+)
 
 PARALLEL = "parallel"
 PERPENDICULAR = "perpendicular"
@@ -204,11 +206,11 @@ def sample_outcomes(p_parallel, n: int, seed):
 
     Raises:
         ValueError: if a probability is NaN or outside [0, 1], or n is
-            outside [1, 2**63 - 1].
+            not an integer in [1, 2**63 - 1].
     """
     for extreme in (np.min, np.max):
         check_range(float(extreme(p_parallel)), "probability must lie in [0, 1]", 0.0, 1.0)
-    check_range(n, f"sample count must be positive and at most {_MAX_DRAWS}", 1, _MAX_DRAWS)
+    n = check_count(n, "sample count", hi=_MAX_DRAWS)
     count = np.random.default_rng(seed).binomial(n, p_parallel)
     if np.ndim(p_parallel):
         return count, n - count

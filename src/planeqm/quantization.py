@@ -42,7 +42,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .states import TWO_PI, DensityParams, check_range, density_matrix, wrap_orientation
+from .states import TWO_PI, DensityParams, check_count, check_range, density_matrix, wrap_orientation
 
 #: Default number of quadrature nodes for sampled functions.
 DEFAULT_SAMPLES = 1024
@@ -219,7 +219,7 @@ def fourier_coefficients(f: CircleFunction, n_samples: int = DEFAULT_SAMPLES) ->
     sin(2 phi); only callables are sampled, with the n_samples-point
     rectangle rule, exact for trigonometric polynomials of degree < n_samples/2.
     """
-    check_range(n_samples, f"n_samples must be at least {MIN_SAMPLES}", MIN_SAMPLES)
+    n_samples = check_count(n_samples, "n_samples", MIN_SAMPLES)
     if isinstance(f, FourierSeries):
         a2, b2 = f.coefficient(2)
         return FourierData(f.a0, a2, b2)
@@ -322,7 +322,7 @@ def superposition_density(
     check_range(r, "mixing degree r of the integrand family must lie in (0, 1]", math.ulp(0.0), 1.0)
     check_range(s, "target mixing degree s must lie in [0, 1]", 0.0, 1.0)
     check_range(theta, "target orientation theta must be finite")
-    check_range(n_samples, f"n_samples must be at least {MIN_SAMPLES}", MIN_SAMPLES)
+    n_samples = check_count(n_samples, "n_samples", MIN_SAMPLES)
     phis = _quadrature_grid(n_samples)
     acc = np.zeros((2, 2))
     # s/r overflows the weights for a tiny r; the check below refuses the result

@@ -60,6 +60,21 @@ def check_range(value, what: str, lo: float = -math.inf, hi: float = math.inf):
     raise ValueError(f"{what}, got {value}")
 
 
+def check_count(value, name: str, lo: int = 1, hi: float = math.inf) -> int:
+    """The one check for node and draw counts: ``value`` as an int if integral and in [lo, hi].
+
+    Out-of-range and non-finite values get the :func:`check_range` message
+    "<name> must be positive" (lo = 1) or "<name> must be at least <lo>",
+    with " and at most <hi>" for a finite hi.  Integral floats such as
+    1024.0 pass; 8.5 and booleans do not.
+    """
+    bounds = "positive" if lo == 1 else f"at least {lo}"
+    check_range(value, f"{name} must be {bounds}" + ("" if hi == math.inf else f" and at most {hi}"), lo, hi)
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def wrap_state_angle(phi: float) -> float:
     """Reduce a state angle to the canonical range [0, 2*pi)."""
     wrapped = float(phi) % TWO_PI

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
@@ -8,6 +10,8 @@ from numpy.testing import assert_allclose
 
 from planeqm.bell import (
     _kron,
+    _sign_model,
+    _uniform_density,
     BUILTIN_MODELS,
     BellKind,
     HiddenVariableModel,
@@ -223,6 +227,67 @@ def test_invalid_custom_model_still_raises_after_builtins_are_cached():
             density=lambda lam: np.full(np.shape(lam), 1.0 / math.pi),
             name="sign-cos",
         )
+
+
+@pytest.mark.parametrize("factory", [sign_cosine_model, sign_projection_model])
+def test_builtin_densities_pass_the_full_registration_integral(factory):
+    # a lambda around the built-in density is not the uniform density the
+    # registration trusts, so the 2**20-point integral runs on it unchanged
+    builtin = factory()
+    sizes = []
+
+    def density(lam):
+        sizes.append(lam.size)
+        return builtin.density(lam)
+
+    HiddenVariableModel(epsilon=builtin.epsilon, density=density, name=builtin.name)
+    assert sizes == [1 << 20]
+
+
+def test_uniform_density_on_another_domain_is_integrated():
+    with pytest.raises(ValueError, match="^density integrates to ") as info:
+        HiddenVariableModel(epsilon=sign_cosine_model().epsilon, density=_uniform_density, domain=(0.0, math.pi))
+    total = re.fullmatch(r"density integrates to (\S+), expected 1 within 1e-9", str(info.value))[1]
+    assert float(total) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("density", [_uniform_density, lambda lam: np.full(np.shape(lam), 1.0 / TWO_PI)])
+def test_outcome_probe_covers_the_whole_domain(density):
+    # +-1 only below lam = 1, 0.5 on the rest of [0, 2 pi)
+    def epsilon(phi, lam):
+        return np.where(lam < 1.0, np.sign(np.cos(phi - lam)), 0.5)
+
+    with pytest.raises(ValueError, match=r"^epsilon must take values in \{-1, \+1\}$"):
+        HiddenVariableModel(epsilon=epsilon, density=density)
+
+
+@pytest.mark.parametrize("factory", [sign_cosine_model, sign_projection_model])
+def test_building_a_builtin_model_allocates_no_registration_grid(factory):
+    _sign_model.cache_clear()
+    tracemalloc.start()
+    try:
+        factory()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 2**20-point float grid alone is 8 MB
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [7, 4096])
+@pytest.mark.parametrize("factory,scale", [(sign_cosine_model, 1.0), (sign_projection_model, 0.5)])
+def test_builtin_singlet_correlation_is_the_midpoint_sum(factory, scale, n):
+    # the n-point midpoint rule for -<eps(a, .) eps(b, .)>, written out apart from the library
+    lam = (np.arange(n) + 0.5) * (TWO_PI / n)
+    weights = np.full(n, 1.0 / TWO_PI) * TWO_PI
+    phi_a, phi_b = np.random.default_rng(n).uniform(-7.0, 7.0, (2, 40))
+    want = [
+        -float((weights * np.where(np.cos(scale * a - lam) >= 0.0, 1.0, -1.0)
+                * np.where(np.cos(scale * b - lam) >= 0.0, 1.0, -1.0)).mean())
+        for a, b in zip(phi_a, phi_b)
+    ]
+    assert [singlet_correlation(factory(), a, b, n) for a, b in zip(phi_a, phi_b)] == want
+    assert np.array_equal(singlet_correlation(factory(), phi_a, phi_b, n), want)
 
 
 def sawtooth_overlap(pa, pb):

@@ -3,12 +3,16 @@
 Every numeric parameter that a function checks goes through
 ``states.check_range``; these tests feed each of them NaN and +-inf, and
 drive the CLI with unbounded float flags to check its exit-code contract.
+Node and draw counts go through ``states.check_count``, which also
+refuses non-integral values and booleans.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +122,7 @@ CALLS = {
     "classical_correlation.phi_b": lambda x: classical_correlation(sign_cosine_model(), 0.0, x),
     "classical_correlation.n_nodes": lambda x: classical_correlation(sign_cosine_model(), 0.0, 0.0, x),
     "singlet_correlation.phi_a": lambda x: singlet_correlation(sign_cosine_model(), x, 0.0),
+    "singlet_correlation.n_nodes": lambda x: singlet_correlation(sign_cosine_model(), 0.0, 0.0, x),
     "baby_bell_check.p_ab": lambda x: baby_bell_check(x, 0.0, 0.0),
     "baby_bell_check.p_ac": lambda x: baby_bell_check(0.0, x, 0.0),
     "baby_bell_check.p_bc": lambda x: baby_bell_check(0.0, 0.0, x),
@@ -133,6 +138,46 @@ CALLS = {
 def test_validated_parameter_refuses_non_finite(call, value):
     with pytest.raises(ValueError, match=r", got "):
         call(value)
+
+
+#: The entries of CALLS whose parameter is a node or draw count.
+COUNTS = [
+    "quantize.n_samples",
+    "fourier_coefficients.n_samples",
+    "identity_residual.n_samples",
+    "superposition_density.n_samples",
+    "sample_outcomes.n",
+    "classical_correlation.n_nodes",
+    "singlet_correlation.n_nodes",
+]
+
+
+@pytest.mark.parametrize("value", [8.5, 4096.5, 1e3 + 1e-9])
+@pytest.mark.parametrize("name", COUNTS)
+def test_count_refuses_non_integral_values(name, value):
+    with pytest.raises(ValueError, match=rf" must be an integer, got {re.escape(repr(value))}$"):
+        CALLS[name](value)
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_count_refuses_booleans(name):
+    with pytest.raises(ValueError, match=r", got True$"):
+        CALLS[name](True)
+
+
+def _plain(result):
+    return dataclasses.astuple(result) if dataclasses.is_dataclass(result) else result
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_count_accepts_integral_floats(name):
+    np.testing.assert_equal(_plain(CALLS[name](1024.0)), _plain(CALLS[name](1024)))
+
+
+def test_sample_outcomes_counts_are_ints_for_an_integral_float_n():
+    counts = sample_outcomes(0.5, 10.0, 1)
+    assert counts == sample_outcomes(0.5, 10, 1)
+    assert [type(c) for c in counts] == [int, int]
 
 
 @pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
