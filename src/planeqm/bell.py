@@ -38,7 +38,6 @@ __all__ = [
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -50,25 +49,14 @@ from .states import TWO_PI, check_count, check_range, pure_state, sigma_phi
 
 #: Diagonal-first component i sits at Kronecker (lexicographic) slot _PERM[i].
 _PERM = np.array([0, 3, 1, 2])
-_INV_PERM = np.argsort(_PERM)
-#: Flat Kronecker-order index of each entry of a diagonal-first 4x4 operator,
-#: 4 * _PERM[:, None] + _PERM, written out: no integer arithmetic at import.
-_PERM_FLAT = np.array([[0, 3, 1, 2], [12, 15, 13, 14], [4, 7, 5, 6], [8, 11, 9, 10]])
+#: Flat Kronecker-order index of each diagonal-first entry, by array shape:
+#: a 4-vector's components, a 4x4 operator's rows and columns alike.
+_FLAT_PERM = {(4,): _PERM, (4, 4): 4 * _PERM[:, None] + _PERM}
 
 #: Strict-violation tolerance: boundary cases report "not violated".
 VIOLATION_TOL = 1e-12
 
 DEFAULT_NODES = 4096
-
-
-def _reindex(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Permute the components of a 4-vector, or the rows and columns of a 4x4 operator."""
-    a = np.asarray(a)
-    if a.shape == (4,):
-        return a[idx]
-    if a.shape == (4, 4):
-        return a[np.ix_(idx, idx)]
-    raise ValueError(f"expected a 4-vector or 4x4 matrix, got shape {a.shape}")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,14 +70,25 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
+def _flat_perm(a: np.ndarray) -> np.ndarray:
+    try:
+        return _FLAT_PERM[a.shape]
+    except KeyError:
+        raise ValueError(f"expected a 4-vector or 4x4 matrix, got shape {a.shape}") from None
+
+
 def from_kron_order(a: np.ndarray) -> np.ndarray:
     """Re-index a 4-vector or 4x4 operator from Kronecker to diagonal-first order."""
-    return _reindex(a, _PERM)
+    a = np.asarray(a)
+    return a.reshape(-1)[_flat_perm(a)]
 
 
 def to_kron_order(a: np.ndarray) -> np.ndarray:
     """Inverse of :func:`from_kron_order`."""
-    return _reindex(a, _INV_PERM)
+    a = np.asarray(a)
+    out = np.empty(a.shape, a.dtype)
+    out.reshape(-1)[_flat_perm(a)] = a
+    return out
 
 
 class BellKind(Enum):
@@ -120,7 +119,7 @@ def bell_state(kind: BellKind) -> np.ndarray:
 
 def sigma_tensor(phi_a: float, phi_b: float) -> np.ndarray:
     """sigma(phi_a) (x) sigma(phi_b) in diagonal-first order; squares to I."""
-    return _kron(sigma_phi(phi_a), sigma_phi(phi_b)).reshape(16)[_PERM_FLAT]
+    return from_kron_order(_kron(sigma_phi(phi_a), sigma_phi(phi_b)))
 
 
 def quantum_correlation(phi_a: float, phi_b: float) -> float:
@@ -149,7 +148,7 @@ def joint_probabilities(
     table: dict[tuple[int, int], float] = {}
     for ea, ua in eig_a.items():
         for eb, ub in eig_b.items():
-            amp = float(_kron(ua, ub)[_PERM] @ psi)
+            amp = float(from_kron_order(_kron(ua, ub)) @ psi)
             table[(ea, eb)] = amp * amp
     return table
 
@@ -161,9 +160,10 @@ class HiddenVariableModel:
     ``epsilon(phi, lam)`` returns +-1 and ``density(lam)`` a nonnegative
     weight; both must accept numpy arrays of ``lam`` (evaluation is always
     vectorized over the hidden variable).  ``domain`` is the (lo, hi)
-    integration range.  Registration checks that the outcomes are +-1 at
-    64 midpoints spread over the domain and that the density is
-    nonnegative and integrates to one within 1e-9 on 2**20 midpoints.
+    integration range.  Registration checks that both ends are finite,
+    that the outcomes are +-1 at 64 midpoints spread over the domain and
+    that the density is nonnegative and integrates to one within 1e-9 on
+    2**20 midpoints.
     The uniform density 1/(2 pi) of the built-in models, on its own
     domain [0, 2 pi), integrates to one by construction and skips that
     integral.
@@ -175,7 +175,7 @@ class HiddenVariableModel:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        lo, hi = self.domain
+        lo, hi = (check_range(end, "domain ends must be finite") for end in self.domain)
         if not hi > lo:
             raise ValueError(f"domain ({lo}, {hi}) must have positive length")
         if not (self.density is _uniform_density and (lo, hi) == (0.0, TWO_PI)):
@@ -324,8 +324,13 @@ class InequalityReport:
     margin: float
 
 
+def _verdict(lhs, rhs):
+    """(violated, margin) of the bound lhs <= rhs, elementwise over numpy arrays."""
+    return lhs > rhs + VIOLATION_TOL, rhs - lhs
+
+
 def _report(lhs: float, rhs: float) -> InequalityReport:
-    return InequalityReport(lhs, rhs, lhs > rhs + VIOLATION_TOL, rhs - lhs)
+    return InequalityReport(lhs, rhs, *_verdict(lhs, rhs))
 
 
 def baby_bell_check(p_ab: float, p_ac: float, p_bc: float) -> InequalityReport:
@@ -397,17 +402,11 @@ class ScanGrid(Sequence):
         return self.lhs.size
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        flat = operator.index(index)
-        if flat < 0:
-            flat += len(self)
-        if not 0 <= flat < len(self):
-            raise IndexError(f"scan point index {index} out of range for {len(self)} points")
+        flat = range(len(self))[index]
+        if isinstance(flat, range):
+            return [self[i] for i in flat]
         i, j = divmod(flat, self.etas.size)
-        report = InequalityReport(
-            float(self.lhs[i, j]), float(self.rhs[j]), bool(self.violated[i, j]), float(self.margin[i, j])
-        )
+        report = _report(float(self.lhs[i, j]), float(self.rhs[j]))
         return ScanPoint(float(self.zetas[i]), float(self.etas[j]), report)
 
 
@@ -425,7 +424,7 @@ def violation_scan(zeta_grid, eta_grid) -> ScanGrid:
     if not zetas.size or not etas.size:
         raise ValueError("scan grids must be nonempty")
     lhs, rhs = _sin_bound(zetas[:, None], etas)
-    grid = ScanGrid(zetas, etas, lhs, rhs, lhs > rhs + VIOLATION_TOL, rhs - lhs)
+    grid = ScanGrid(zetas, etas, lhs, rhs, *_verdict(lhs, rhs))
     for array in (zetas, etas, lhs, rhs, grid.violated, grid.margin):
         array.flags.writeable = False
     return grid

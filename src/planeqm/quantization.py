@@ -113,11 +113,10 @@ class FourierSeries:
 
 
 def _harmonic_index(k) -> int:
-    """k as an int; integral floats such as 2.0 pass, 2.7 and booleans do not."""
-    index = int(k)
-    if isinstance(k, bool) or index != k:
+    """k as an int; integral floats such as 2.0 pass, 2.7, +-inf, NaN and booleans do not."""
+    if isinstance(k, bool) or (isinstance(k, float) and not math.isfinite(k)) or int(k) != k:
         raise ValueError(f"harmonic indices k must be integers, got {k!r}")
-    return index
+    return int(k)
 
 
 @dataclass(frozen=True)

@@ -59,13 +59,29 @@ def test_bell_states_are_orthonormal():
 
 
 def test_order_conversions_round_trip():
+    # independent reference: diagonal-first component i is Kronecker slot perm[i]
+    perm = [0, 3, 1, 2]
+    inv = [perm.index(i) for i in range(4)]
+
+    def reindex(a, idx):
+        return a[idx] if a.ndim == 1 else a[np.ix_(idx, idx)]
+
     rng = np.random.default_rng(3)
-    v = rng.normal(size=4)
-    m = rng.normal(size=(4, 4))
-    assert_allclose(to_kron_order(from_kron_order(v)), v, atol=0)
-    assert_allclose(from_kron_order(to_kron_order(m)), m, atol=0)
-    with pytest.raises(ValueError, match="4-vector or 4x4"):
-        from_kron_order(np.zeros(3))
+    for shape in ((4,), (4, 4)):
+        for _ in range(2000):
+            a = rng.normal(size=shape)
+            a[rng.random(shape) < 0.25] = 0.0
+            a *= rng.choice([1.0, -1.0], shape)
+            # a transposed operator is not C-contiguous
+            for x in (a, a.T):
+                assert _same_bits(from_kron_order(x), reindex(x, perm))
+                assert _same_bits(to_kron_order(x), reindex(x, inv))
+                assert _same_bits(to_kron_order(from_kron_order(x)), x)
+                assert _same_bits(from_kron_order(to_kron_order(x)), x)
+    for convert in (from_kron_order, to_kron_order):
+        for shape in ((3,), (16,), (4, 4, 1), ()):
+            with pytest.raises(ValueError, match=re.escape(f"4-vector or 4x4 matrix, got shape {shape}")):
+                convert(np.zeros(shape))
 
 
 def test_sigma_tensor_against_explicit_kron_oracle():
@@ -204,6 +220,14 @@ def test_model_registration_validation():
             density=lambda lam: np.ones_like(lam),
             domain=(1.0, 1.0),
         )
+    # refused before any grid is built: no invalid-value warning, no integral
+    for domain, end in (((-math.inf, 0.0), -math.inf), ((0.0, math.inf), math.inf), ((-math.inf, math.inf), -math.inf)):
+        with pytest.raises(ValueError, match=f"^domain ends must be finite, got {end}$"):
+            HiddenVariableModel(
+                epsilon=lambda phi, lam: np.ones_like(lam),
+                density=lambda lam: np.ones_like(lam),
+                domain=domain,
+            )
 
 
 @pytest.mark.parametrize("factory", [sign_cosine_model, sign_projection_model])

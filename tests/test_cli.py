@@ -111,7 +111,7 @@ def test_quantize_out_of_range_mixing_exits_3(capsys):
     "series,reason",
     [
         ('{"a0": 1e400}', "Fourier coefficients must be finite"),
-        ('{"terms": [{"k": 1e400}]}', "cannot convert float infinity to integer"),
+        ('{"terms": [{"k": 1e400}]}', "harmonic indices k must be integers, got inf"),
     ],
 )
 def test_quantize_rejects_non_finite_series(capsys, series, reason):
@@ -137,9 +137,11 @@ def test_quantize_overflowing_result_exits_3_in_csv(capsys):
 
 
 def test_quantize_non_integer_harmonic_exits_2(capsys):
-    code, out, err = run(capsys, "quantize", '{"terms": [{"k": 2.7, "ak": 1}]}', "--r", "1", "--format", "csv")
-    assert (code, out) == (2, "")
-    assert err == "error: malformed Fourier series: harmonic indices k must be integers, got 2.7\n"
+    for k, shown in (("2.7", "2.7"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("NaN", "nan")):
+        series = f'{{"terms": [{{"k": {k}, "ak": 1}}]}}'
+        code, out, err = run(capsys, "quantize", series, "--r", "1", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed Fourier series: harmonic indices k must be integers, got {shown}\n"
 
 
 @pytest.mark.parametrize(
