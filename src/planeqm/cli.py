@@ -6,6 +6,10 @@ error (a size too large to allocate included).  Results go to stdout (or
 unless ``--degrees`` is given; outputs are always radians.  Identical
 invocations produce byte-identical output.
 
+Each request is parsed once, by its command's parser.  Only ``planeqm``,
+``planeqm -h`` and an unknown command go to the top-level parser, which
+prints its help or its error.
+
 Every row is formatted by one writer, :func:`_emit_table`: ``malus`` and
 ``bell-scan`` stream theirs as a CSV table (their default) or as JSON,
 block by block; the other commands write one JSON record (their default)
@@ -328,11 +332,12 @@ def _cmd_iso_demo(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The full argument tree, built on the first :func:`main` call and reused.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser by name, built on the first
+    :func:`main` call and reused.
 
-    Parsing never mutates the parser, so repeated ``main`` calls in one
-    process share it.
+    Parsing never mutates a parser, so repeated ``main`` calls in one
+    process share them.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="write to this file instead of stdout")
@@ -349,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("fourier", help='inline JSON {"a0": ..., "terms": [...]} or a path to it')
     p.add_argument("--r", type=float, required=True, help="degree of mixing of the kernel family")
     p.add_argument("--phi0", type=_Angle, default=0.0, help="kernel orientation offset")
-    p.set_defaults(handler=_cmd_quantize, parser=p)
+    p.set_defaults(handler=_cmd_quantize)
 
     p = sub.add_parser("identity-check", parents=[common], help="residual of the resolution of the identity")
     # --tolerance before --r and --phi0: the first non-finite float flag is the one reported
@@ -357,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-12, help="check tolerance (default 1e-12)")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--phi0", type=_Angle, default=0.0)
-    p.set_defaults(handler=_cmd_identity_check, parser=p)
+    p.set_defaults(handler=_cmd_identity_check)
 
     p = sub.add_parser("malus", parents=[common], help="transmission probabilities over a polarizer-angle grid")
     p.add_argument("--r0", type=float, required=True, help="light polarization degree")
@@ -365,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True, help="grid points over [0, pi]")
     p.add_argument("--mc-n", type=int, default=None, help="add a Monte-Carlo frequency column with n draws per row")
     p.add_argument("--seed", type=int, default=0, help="random seed of the --mc-n draws (default 0)")
-    p.set_defaults(handler=_cmd_malus, parser=p)
+    p.set_defaults(handler=_cmd_malus)
 
     p = sub.add_parser("bell-scan", parents=[common], help="scan the correlation bound over (zeta, eta)")
     p.add_argument("--zeta-steps", type=int, required=True)
@@ -374,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta-max", type=_Angle, default=math.pi / 2, help="default pi/2 radians, even with --degrees")
     p.add_argument("--eta-min", type=_Angle, default=0.0)
     p.add_argument("--eta-max", type=_Angle, default=math.pi / 2, help="default pi/2 radians, even with --degrees")
-    p.set_defaults(handler=_cmd_bell_scan, parser=p)
+    p.set_defaults(handler=_cmd_bell_scan)
 
     p = sub.add_parser("correlate", parents=[common], help="quantum or hidden-variable pair correlations")
     p.add_argument("--phi-a", type=_Angle, required=True)
@@ -382,25 +387,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-c", type=_Angle, help="third angle: also check the Bell bound")
     p.add_argument("--model", choices=("quantum", *BUILTIN_MODELS), default="quantum")
     p.add_argument("--n-nodes", type=int, default=DEFAULT_NODES, help="hidden-variable quadrature nodes")
-    p.set_defaults(handler=_cmd_correlate, parser=p)
+    p.set_defaults(handler=_cmd_correlate)
 
     p = sub.add_parser("coherent", parents=[common], help="coherent state as an entangled plane pair")
     p.add_argument("--theta", type=_Angle, required=True, help="colatitude in [0, pi]")
     p.add_argument("--phi", type=_Angle, required=True, help="azimuth")
-    p.set_defaults(handler=_cmd_coherent, parser=p)
+    p.set_defaults(handler=_cmd_coherent)
 
     p = sub.add_parser("iso-demo", parents=[common], help="Bell change of basis and flip/cat action table")
-    p.set_defaults(handler=_cmd_iso_demo, parser=p)
+    p.set_defaults(handler=_cmd_iso_demo)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_request(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed once: by its command's parser, or by the top-level parser if it starts with no command."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    return parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args, unknown = parser.parse_known_args(argv)
-        if unknown:  # reported by the command's own parser, with its usage
-            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        args = _parse_request(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

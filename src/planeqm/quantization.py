@@ -113,10 +113,13 @@ class FourierSeries:
 
 
 def _harmonic_index(k) -> int:
-    """k as an int; integral floats such as 2.0 pass, 2.7, +-inf, NaN and booleans do not."""
-    if isinstance(k, bool) or (isinstance(k, float) and not math.isfinite(k)) or int(k) != k:
-        raise ValueError(f"harmonic indices k must be integers, got {k!r}")
-    return int(k)
+    """k as an int; integral numbers such as 2.0 pass, 2.7, +-inf, NaN, booleans and non-numbers do not."""
+    try:
+        if not isinstance(k, bool) and int(k) == k:
+            return int(k)
+    except (TypeError, ValueError, OverflowError):  # None, lists, "abc", "2.0"; +-inf, NaN
+        pass
+    raise ValueError(f"harmonic indices k must be integers, got {k!r}")
 
 
 @dataclass(frozen=True)

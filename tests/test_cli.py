@@ -1,11 +1,16 @@
+import contextlib
 import errno
+import importlib.util
+import io
 import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from planeqm import cli
@@ -25,6 +30,7 @@ from planeqm.quantization import fourier_coefficients, fourier_series_from_json,
 from planeqm.states import DensityParams
 
 SQ2 = math.sqrt(2.0)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -137,7 +143,11 @@ def test_quantize_overflowing_result_exits_3_in_csv(capsys):
 
 
 def test_quantize_non_integer_harmonic_exits_2(capsys):
-    for k, shown in (("2.7", "2.7"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("NaN", "nan")):
+    refused = (
+        ("2.7", "2.7"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("NaN", "nan"),
+        ('"abc"', "'abc'"), ("null", "None"), ("[1]", "[1]"), ("{}", "{}"), ('"2.0"', "'2.0'"),
+    )
+    for k, shown in refused:
         series = f'{{"terms": [{{"k": {k}, "ak": 1}}]}}'
         code, out, err = run(capsys, "quantize", series, "--r", "1", "--format", "csv")
         assert (code, out) == (2, "")
@@ -156,6 +166,44 @@ def test_quantize_refuses_non_numbers_and_unknown_keys(capsys, series, reason):
     code, out, err = run(capsys, "quantize", series, "--r", "0.5", "--format", "csv")
     assert (code, out) == (2, "")
     assert err == f"error: malformed Fourier series: {reason}\n"
+
+
+# JSON values of every type: huge and non-finite numbers, text, lists and objects, nested
+_json_numbers = st.integers(1, 4) | st.integers(-(10**400), 10**400) | st.floats()
+_json_values = st.recursive(
+    st.none() | st.booleans() | _json_numbers | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_object(required, optional):
+    """Objects with the ``required`` and any of the ``optional`` keys, half of them with an unknown key too."""
+    known = st.fixed_dictionaries(required, optional=optional)
+    unknown = st.dictionaries(st.text(max_size=3), _json_values, min_size=1, max_size=1)
+    return known | st.builds(lambda a, b: {**a, **b}, known, unknown)
+
+
+_coefficient = _json_numbers | _json_values
+_term = _json_object({"k": _coefficient}, {"ak": _coefficient, "bk": _coefficient}) | _json_values
+_series = _json_object({}, {"a0": _coefficient, "terms": st.lists(_term, max_size=3) | _json_values})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series)
+def test_quantize_any_json_object_gives_a_result_or_one_error_line(series):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["quantize", json.dumps(series), "--r", "0.5"])
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert "Traceback" not in err
+    if code == 3:  # finite coefficients whose quantized matrix overflows: the documented domain error
+        assert (out, err) == ("", "error: quantized matrix is not finite\n")
+    else:
+        assert code in (0, 2)
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize(
@@ -908,6 +956,78 @@ def test_failing_stdout_exits_2(capsys, monkeypatch):
     monkeypatch.undo()
     assert code == 2
     assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+# ---------------------------------------------------------------------------
+# one parse per request
+
+#: A request each command accepts, required flags last
+_MINIMAL_REQUESTS = {
+    "quantize": ['{"a0": 1}', "--r", "0.5"],
+    "identity-check": ["--r", "0.5"],
+    "malus": ["--r0", "1", "--steps", "3"],
+    "bell-scan": ["--zeta-steps", "2", "--eta-steps", "2"],
+    "correlate": ["--phi-a", "0", "--phi-b", "1"],
+    "coherent": ["--theta", "1", "--phi", "0"],
+    "iso-demo": [],
+}
+
+
+def _benchmark_request_argvs(seeds):
+    """The argvs of the benchmark's ``requests`` workload for ``seeds``."""
+    spec = importlib.util.spec_from_file_location("_bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(workloads)
+        return [op.argv for seed in seeds for op in workloads.Requests(seed, "out").ops]
+    finally:
+        del sys.modules[spec.name]
+
+
+def _parse_corpus():
+    corpus = _benchmark_request_argvs(range(4))
+    for command, argv in _MINIMAL_REQUESTS.items():
+        corpus += [
+            [command, "-h"],
+            [command, *argv, "--frobnicate", "1"],
+            [command, *argv[:-2]],  # a required flag missing (iso-demo has none)
+            [command, *argv, *(["--r0", "1"] if command == "bell-scan" else ["--zeta-steps", "3"])],
+            [command, *argv, "--zeta-s", "3"],
+            [command, *argv, "--format=json"],
+        ]
+    return corpus + [[], ["-h"], ["frobnicate"], ["--format", "json", "coherent", "--theta", "1", "--phi", "0"]]
+
+
+def _parse_outcome(parse, argv):
+    """(parsed flags but the command name, exit code, stdout, stderr) of ``parse(argv)``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    flags, code = None, None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            flags = {k: v for k, v in vars(parse(argv)).items() if k != "command"}
+        except SystemExit as exc:
+            code = exc.code
+    return flags, code, stdout.getvalue(), stderr.getvalue()
+
+
+def _parse_through_top_level(argv):
+    """The whole argv through the top-level parser, and unknown flags refused by the command's parser."""
+    parser, commands = cli._build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
+
+
+def test_command_parser_parses_as_the_top_level_parser():
+    corpus = _parse_corpus()
+    assert len(corpus) == 4 * 100 + 6 * len(_MINIMAL_REQUESTS) + 4
+    exits = set()
+    for argv in corpus:
+        once = _parse_outcome(cli._parse_request, argv)
+        assert once == _parse_outcome(_parse_through_top_level, argv), argv
+        exits.add(once[1])
+    assert exits == {None, 0, 2}
 
 
 # ---------------------------------------------------------------------------

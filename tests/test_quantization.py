@@ -53,7 +53,7 @@ def test_series_rejects_bad_harmonics():
         FourierSeries(0.0, ((0, 1.0, 0.0),))
 
 
-@pytest.mark.parametrize("k", [2.7, True, "2", math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("k", [2.7, True, "2", math.inf, -math.inf, math.nan, "abc", None, [1], {}, "2.0"])
 def test_series_rejects_non_integer_harmonics(k):
     with pytest.raises(ValueError, match=f"^harmonic indices k must be integers, got {re.escape(repr(k))}$"):
         FourierSeries(0.0, ((k, 1.0, 0.0),))
