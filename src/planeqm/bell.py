@@ -41,11 +41,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .states import TWO_PI, check_count, check_range, pure_state, sigma_phi
+from .states import TWO_PI, _kron, check_count, check_range, pure_state, sigma_phi
 
 #: Diagonal-first component i sits at Kronecker (lexicographic) slot _PERM[i].
 _PERM = np.array([0, 3, 1, 2])
@@ -57,17 +57,6 @@ _FLAT_PERM = {(4,): _PERM, (4, 4): 4 * _PERM[:, None] + _PERM}
 VIOLATION_TOL = 1e-12
 
 DEFAULT_NODES = 4096
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``numpy.kron`` of two 2x2 matrices, or of two 2-vectors, as one broadcast product.
-
-    Bit-equal to ``numpy.kron``, signed zeros included: each entry is the
-    same single product, without ``numpy.kron``'s Python-level overhead.
-    """
-    if a.ndim == 1:
-        return (a[:, None] * b).reshape(4)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def _flat_perm(a: np.ndarray) -> np.ndarray:
@@ -160,7 +149,7 @@ class HiddenVariableModel:
     ``epsilon(phi, lam)`` returns +-1 and ``density(lam)`` a nonnegative
     weight; both must accept numpy arrays of ``lam`` (evaluation is always
     vectorized over the hidden variable).  ``domain`` is the (lo, hi)
-    integration range.  Registration checks that both ends are finite,
+    integration range.  Registration checks that it is a pair of finite ends,
     that the outcomes are +-1 at 64 midpoints spread over the domain and
     that the density is nonnegative and integrates to one within 1e-9 on
     2**20 midpoints.
@@ -175,7 +164,11 @@ class HiddenVariableModel:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        lo, hi = (check_range(end, "domain ends must be finite") for end in self.domain)
+        try:
+            lo, hi = self.domain
+        except (TypeError, ValueError):
+            raise ValueError(f"domain must be a (lo, hi) pair, got {self.domain!r}") from None
+        check_range((lo, hi), "domain ends must be finite")
         if not hi > lo:
             raise ValueError(f"domain ({lo}, {hi}) must have positive length")
         if not (self.density is _uniform_density and (lo, hi) == (0.0, TWO_PI)):
@@ -240,51 +233,35 @@ BUILTIN_MODELS: dict[str, Callable[[], HiddenVariableModel]] = {
 
 
 def _angle_pairs(phi_a, phi_b) -> list[tuple]:
-    """The (phi_a, phi_b) pairs of two angles or of two equal-length sequences, each angle checked finite."""
-    if np.ndim(phi_a) == np.ndim(phi_b) == 0:
-        phi_a, phi_b = [phi_a], [phi_b]
-    elif np.ndim(phi_a) != 1 or np.ndim(phi_b) != 1 or len(phi_a) != len(phi_b):
+    """The (phi_a, phi_b) pairs of two angles or of two equal-length sequences, every angle checked finite."""
+    scalar = np.ndim(phi_a) == np.ndim(phi_b) == 0
+    if not scalar and (np.ndim(phi_a) != 1 or np.ndim(phi_b) != 1 or len(phi_a) != len(phi_b)):
         raise ValueError("phi_a and phi_b must be two angles or two equal-length sequences of angles")
-    for label, angles in (("phi_a", phi_a), ("phi_b", phi_b)):
-        for angle in angles:
-            check_range(angle, f"angle {label} must be finite")
-    return list(zip(phi_a, phi_b))
+    check_range(phi_a, "angle phi_a must be finite")
+    check_range(phi_b, "angle phi_b must be finite")
+    return [(phi_a, phi_b)] if scalar else list(zip(phi_a, phi_b))
 
 
-def classical_correlation(
-    model: HiddenVariableModel,
-    phi_a,
-    phi_b,
-    n_nodes: int = DEFAULT_NODES,
-    method: str = "grid",
-    seed: Optional[int] = None,
-):
+def classical_correlation(model: HiddenVariableModel, phi_a, phi_b, n_nodes: int = DEFAULT_NODES):
     """Expectation of eps(phi_a, .) eps(phi_b, .) under the model's density.
 
     integral density(lam) eps(phi_a, lam) eps(phi_b, lam) d(lam), by an
-    n_nodes midpoint rule ("grid", error O(1/n) for the piecewise-constant
-    built-ins) or a seeded uniform-proposal Monte-Carlo average ("mc").
-    Always lies in [-1, 1] up to integration error; equals +1 at equal
-    angles.  Note this is the overlap of one party's outcome function with
-    itself at two settings; the anti-aligned pair expectation that enters
-    the Bell bound is :func:`singlet_correlation`.
+    n_nodes midpoint rule (error O(1/n) for the piecewise-constant
+    built-ins).  Always lies in [-1, 1] up to integration error; equals +1
+    at equal angles.  Note this is the overlap of one party's outcome
+    function with itself at two settings; the anti-aligned pair
+    expectation that enters the Bell bound is :func:`singlet_correlation`.
 
     ``phi_a`` and ``phi_b`` are two angles, giving a float, or two
     equal-length sequences, giving an array with one value per pair
-    (phi_a[i], phi_b[i]).  The nodes (or the Monte-Carlo draw) and the
-    density are evaluated once, and eps once per distinct angle, so each
-    value is bit-equal to the call on its pair alone.
+    (phi_a[i], phi_b[i]).  The nodes and the density are evaluated once,
+    and eps once per distinct angle, so each value is bit-equal to the
+    call on its pair alone.
     """
     pairs = _angle_pairs(phi_a, phi_b)
     n_nodes = check_count(n_nodes, "n_nodes")
     lo, hi = model.domain
-    if method == "grid":
-        lam = _midpoints(lo, hi, n_nodes)
-    elif method == "mc":
-        rng = np.random.default_rng(0 if seed is None else seed)
-        lam = rng.uniform(lo, hi, n_nodes)
-    else:
-        raise ValueError(f'integration method must be "grid" or "mc", got {method!r}')
+    lam = _midpoints(lo, hi, n_nodes)
     weights = np.asarray(model.density(lam), dtype=float) * (hi - lo)
     outcomes: dict = {}
     for angle in itertools.chain.from_iterable(pairs):
@@ -294,14 +271,7 @@ def classical_correlation(
     return np.array(values) if np.ndim(phi_a) else values[0]
 
 
-def singlet_correlation(
-    model: HiddenVariableModel,
-    phi_a,
-    phi_b,
-    n_nodes: int = DEFAULT_NODES,
-    method: str = "grid",
-    seed: Optional[int] = None,
-):
+def singlet_correlation(model: HiddenVariableModel, phi_a, phi_b, n_nodes: int = DEFAULT_NODES):
     """Pair correlation with the partner's outcomes anti-aligned.
 
     Perfect anticorrelation at equal angles forces eps_B = -eps_A, so the
@@ -311,7 +281,7 @@ def singlet_correlation(
     :func:`baby_bell_check`.  Takes two angles or two equal-length
     sequences of them, as :func:`classical_correlation` does.
     """
-    return -classical_correlation(model, phi_a, phi_b, n_nodes, method, seed)
+    return -classical_correlation(model, phi_a, phi_b, n_nodes)
 
 
 @dataclass(frozen=True)
@@ -355,10 +325,10 @@ def check_angle_sums(zeta, eta) -> None:
     ``zeta`` and ``eta`` are floats or arrays; every sum of an element of
     one with an element of the other is checked, as on their Cartesian grid.
     """
-    # every sum is finite when the extreme ones are, and then so are both
-    # angles: NaN propagates through max/min and inf - inf is NaN
-    for extreme in (np.max, np.min):
-        check_range(float(extreme(zeta)) + float(extreme(eta)), "zeta, eta and zeta + eta must be finite")
+    # every sum is finite when the extreme ones are, and then so are both angles: NaN propagates
+    # through max/min and inf - inf is NaN; Python floats overflow to inf without a warning
+    sums = [float(np.min(zeta)) + float(np.min(eta)), float(np.max(zeta)) + float(np.max(eta))]
+    check_range(sums, "zeta, eta and zeta + eta must be finite")
 
 
 def _sin_bound(zeta, eta):

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import _kron
 from .states import (
-    TWO_PI, DensityParams, check_count, check_range, density_matrix, projector, rotation, wrap_orientation,
+    DensityParams, _kron, check_count, check_range, density_matrix, projector, rotation, wrap_orientation,
+    wrap_state_angle,
 )
 
 PARALLEL = "parallel"
@@ -148,11 +148,8 @@ def outcome_probability(light: DensityParams, interaction_phi, orientation: str)
         raise ValueError(f'orientation must be "{PARALLEL}" or "{PERPENDICULAR}", got {orientation!r}')
     # pi-periodic in both angles: reduce them before doubling, so a huge phi or phi0 stays finite;
     # the modulo leaves [0, 2 pi) as it is, the malus grid [0, pi] included
-    with np.errstate(invalid="ignore"):
-        phi = np.mod(interaction_phi, TWO_PI)
-        # a tiny negative angle can round the modulo up to the period itself
-        phi = np.where(phi == TWO_PI, 0.0, phi)
-        aligned = 0.5 * (1.0 + light.r * np.cos(2.0 * (phi - wrap_orientation(light.phi))))
+    phi = wrap_state_angle(interaction_phi)
+    aligned = 0.5 * (1.0 + light.r * np.cos(2.0 * (phi - wrap_orientation(light.phi))))
     p = aligned if orientation == PARALLEL else 1.0 - aligned
     return p if np.ndim(interaction_phi) else float(p)
 
@@ -208,8 +205,7 @@ def sample_outcomes(p_parallel, n: int, seed):
         ValueError: if a probability is NaN or outside [0, 1], or n is
             not an integer in [1, 2**63 - 1].
     """
-    for extreme in (np.min, np.max):
-        check_range(float(extreme(p_parallel)), "probability must lie in [0, 1]", 0.0, 1.0)
+    check_range(p_parallel, "probability must lie in [0, 1]", 0.0, 1.0)
     n = check_count(n, "sample count", hi=_MAX_DRAWS)
     count = np.random.default_rng(seed).binomial(n, p_parallel)
     if np.ndim(p_parallel):

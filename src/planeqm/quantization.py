@@ -320,6 +320,10 @@ def superposition_density(
     with the rectangle rule.  The result equals density_matrix((s, theta)).
     The weight function is nonnegative (a genuinely convex mixture) exactly
     when r >= 2 s; its minimum 1/2 - s/r is reported.
+    For a tiny r the weights 1/2 +- s/r cancel only up to a rounding error
+    that grows like s/r: at s = 1 it is 5.2e-9 for r = 1e-8, against the
+    1e-10 met at moderate r, and about 2e3 for r = 1e-20.  ROADMAP item 3's
+    closed form (quantizing the weight's Fourier series) cancels nothing.
     """
     check_range(r, "mixing degree r of the integrand family must lie in (0, 1]", math.ulp(0.0), 1.0)
     check_range(s, "target mixing degree s must lie in [0, 1]", 0.0, 1.0)

@@ -54,7 +54,14 @@ def check_range(value, what: str, lo: float = -math.inf, hi: float = math.inf):
 
     Otherwise raises ValueError("<what>, got <value>").  A strict lower
     bound 0 is written ``math.ulp(0.0)``, the smallest positive float.
+    A sequence or array is checked through its minimum, then its maximum,
+    as floats (NaN anywhere makes both NaN); an empty one passes.
     """
+    if hasattr(value, "__len__"):  # a list, tuple, range or array, not a number
+        if np.size(value):
+            check_range(float(np.min(value)), what, lo, hi)
+            check_range(float(np.max(value)), what, lo, hi)
+        return value
     if lo <= value <= hi and -math.inf < value < math.inf:
         return value
     raise ValueError(f"{what}, got {value}")
@@ -75,17 +82,25 @@ def check_count(value, name: str, lo: int = 1, hi: float = math.inf) -> int:
     return int(value)
 
 
-def wrap_state_angle(phi: float) -> float:
-    """Reduce a state angle to the canonical range [0, 2*pi)."""
-    wrapped = float(phi) % TWO_PI
+def _wrap(phi, period: float):
+    """``phi`` mod ``period`` in [0, period), elementwise in float64: ``np.mod`` is bit-equal to float ``%``."""
+    with np.errstate(invalid="ignore"):  # a non-finite angle wraps to NaN, as with %
+        wrapped = np.mod(phi, period, dtype=float)
     # a tiny negative input can round the modulo up to the period itself
-    return 0.0 if wrapped == TWO_PI else wrapped
+    if wrapped.ndim:
+        wrapped[wrapped == period] = 0.0
+        return wrapped
+    return 0.0 if wrapped == period else float(wrapped)
 
 
-def wrap_orientation(phi: float) -> float:
-    """Reduce a density orientation to the canonical range [0, pi)."""
-    wrapped = float(phi) % math.pi
-    return 0.0 if wrapped == math.pi else wrapped
+def wrap_state_angle(phi):
+    """Reduce a state angle, or an array of them, to the canonical range [0, 2*pi)."""
+    return _wrap(phi, TWO_PI)
+
+
+def wrap_orientation(phi):
+    """Reduce a density orientation, or an array of them, to the canonical range [0, pi)."""
+    return _wrap(phi, math.pi)
 
 
 @dataclass(frozen=True)
@@ -139,6 +154,17 @@ def sigma_phi(phi: float) -> np.ndarray:
     """
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[c, s], [s, -c]])
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``numpy.kron`` of two 2x2 matrices, or of two 2-vectors, as one broadcast product.
+
+    Bit-equal to ``numpy.kron``, signed zeros included: each entry is the
+    same single product, without ``numpy.kron``'s Python-level overhead.
+    """
+    if a.ndim == 1:
+        return (a[:, None] * b).reshape(4)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def density_matrix(p: DensityParams) -> np.ndarray:

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from planeqm.bell import (
-    _kron,
     _sign_model,
     _uniform_density,
     BUILTIN_MODELS,
@@ -31,7 +30,7 @@ from planeqm.bell import (
     violation_scan,
 )
 from planeqm.measurement import evolution_operator
-from planeqm.states import TWO_PI, projector, pure_state, rotation, sigma_phi
+from planeqm.states import TWO_PI, _kron, projector, pure_state, rotation, sigma_phi
 
 angles = st.floats(min_value=-10.0, max_value=10.0)
 
@@ -230,6 +229,17 @@ def test_model_registration_validation():
             )
 
 
+@pytest.mark.parametrize("domain", [(0.0, 1.0, 2.0), (1.0,), (), 5.0, None], ids=repr)
+def test_model_refuses_a_malformed_domain(domain):
+    with pytest.raises(ValueError) as info:
+        HiddenVariableModel(
+            epsilon=lambda phi, lam: np.ones_like(lam),
+            density=lambda lam: np.ones_like(lam),
+            domain=domain,
+        )
+    assert str(info.value) == f"domain must be a (lo, hi) pair, got {domain!r}"
+
+
 @pytest.mark.parametrize("factory", [sign_cosine_model, sign_projection_model])
 def test_builtin_models_are_built_once(factory):
     assert factory() is factory()
@@ -340,12 +350,11 @@ def test_classical_correlation_matches_sawtooth_oracle(pa, pb):
 
 
 def test_classical_correlation_monte_carlo_mode():
+    # the midpoint grid is the one integration rule: there is no Monte-Carlo mode to select
     model = sign_cosine_model()
-    mc = classical_correlation(model, 0.4, 2.9, 200_000, method="mc", seed=5)
-    assert mc == classical_correlation(model, 0.4, 2.9, 200_000, method="mc", seed=5)
-    assert mc == pytest.approx(sawtooth_overlap(0.4, 2.9), abs=0.02)
-    with pytest.raises(ValueError, match="method"):
-        classical_correlation(model, 0.0, 1.0, method="simpson")
+    for correlation in (classical_correlation, singlet_correlation):
+        with pytest.raises(TypeError, match="method"):
+            correlation(model, 0.4, 2.9, 200_000, method="mc", seed=5)
     with pytest.raises(ValueError, match="n_nodes"):
         classical_correlation(model, 0.0, 1.0, n_nodes=0)
 
@@ -377,14 +386,15 @@ PHI_B = [1.1, 0.3, 0.3, 5.0, -2.0, 7.5]
 
 @pytest.mark.parametrize("correlation", [classical_correlation, singlet_correlation])
 @pytest.mark.parametrize("model", ["sign-cos", "sign-projection", "custom"])
-@pytest.mark.parametrize("method,seed", [("grid", None), ("mc", 9)])
-def test_correlation_of_sequences_equals_per_pair_calls(correlation, model, method, seed):
+# the midpoint grid, which takes no seed, at 1000 nodes
+@pytest.mark.parametrize("n_nodes", [pytest.param(1000, id="grid-None")])
+def test_correlation_of_sequences_equals_per_pair_calls(correlation, model, n_nodes):
     built = BUILTIN_MODELS[model]() if model != "custom" else _counting_model()[0]
     for phi_a, phi_b in ((PHI_A, PHI_B), (np.array(PHI_A), tuple(PHI_B)), ([0.4], [0.4])):
-        got = correlation(built, phi_a, phi_b, 1000, method, seed)
-        want = [correlation(built, a, b, 1000, method, seed) for a, b in zip(phi_a, phi_b)]
+        got = correlation(built, phi_a, phi_b, n_nodes)
+        want = [correlation(built, a, b, n_nodes) for a, b in zip(phi_a, phi_b)]
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
-    assert type(correlation(built, 0.3, 1.1, 1000, method, seed)) is float
+    assert type(correlation(built, 0.3, 1.1, n_nodes)) is float
 
 
 def test_correlation_of_sequences_evaluates_each_angle_once():

@@ -311,6 +311,13 @@ def test_sample_outcomes_array_refuses_a_bad_probability(bad):
         sample_outcomes(np.array([0.5, bad, 0.25]), 10, 0)
 
 
+@pytest.mark.parametrize("empty", [np.array([]), []])
+def test_sample_outcomes_of_no_probabilities_are_empty(empty):
+    counts, perpendicular = sample_outcomes(empty, 10, 0)
+    for array in (counts, perpendicular):
+        assert array.shape == (0,) and array.dtype.kind == "i"
+
+
 def test_sample_outcomes_draw_count_bound():
     count, perpendicular = sample_outcomes(0.5, 2**63 - 1, 3)
     assert type(count) is int and count + perpendicular == 2**63 - 1

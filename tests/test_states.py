@@ -9,6 +9,7 @@ from planeqm.states import (
     SIGMA1,
     SIGMA3,
     TAU2,
+    TWO_PI,
     DensityParams,
     density_matrix,
     projector,
@@ -191,3 +192,35 @@ def test_tau2_conjugate_matrix_identity(r, phi):
 def test_angle_wrapping_ranges(phi):
     assert 0.0 <= wrap_state_angle(phi) < 2 * math.pi
     assert 0.0 <= wrap_orientation(phi) < math.pi
+
+
+def _float_wrap(phi: float, period: float) -> float:
+    """The scalar rule the wraps keep: Python's float modulo, the period itself mapped to 0."""
+    wrapped = phi % period
+    return 0.0 if wrapped == period else wrapped
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("wrap,period", [(wrap_state_angle, TWO_PI), (wrap_orientation, math.pi)], ids=["state", "orientation"])
+def test_angle_wraps_are_float_modulo_elementwise(wrap, period):
+    rng = np.random.default_rng(24)
+    tiny = [0.0, 1e-300, 5e-324, 1e-17, 1e308, math.inf, math.nan]
+    multiples = [k * p for k in (1, 2, 3, 10, 1e6) for p in (math.pi, TWO_PI)]
+    values = np.array(
+        [sign * x for x in tiny + multiples for sign in (1.0, -1.0)]
+        + [math.nextafter(x, d) for x in multiples for d in (0.0, math.inf)]
+        + rng.uniform(-50.0, 50.0, 2000).tolist()
+        + (rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-300.0, 300.0, 2000)).tolist()
+    )
+    given_values = values.copy()
+    want = np.array([_float_wrap(x, period) for x in values.tolist()])
+    got = wrap(values)
+    assert got.shape == values.shape and _same_bits(got, want)
+    assert _same_bits(values, given_values)
+    scalars = [wrap(x) for x in values.tolist()]
+    assert {type(x) for x in scalars} == {float} and _same_bits(np.array(scalars), want)
+    assert _same_bits(wrap(values.tolist()), want)
+

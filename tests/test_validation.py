@@ -13,6 +13,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,60 @@ def test_check_range_message_and_bounds():
     assert check_range(5e-324, "eta must be positive", math.ulp(0.0)) == 5e-324
     with pytest.raises(ValueError, match="got 0.0"):
         check_range(0.0, "eta must be positive", math.ulp(0.0))
+
+
+ARRAYS = [
+    [0.0, 0.5, 1.0],
+    (1.0, 0.25),
+    np.array(0.5),
+    np.array([0.5, 1.0, 0.0]),
+    np.array([[0.5], [1.0]]),
+    range(2),
+    np.array([]),
+    [],
+]
+
+
+@pytest.mark.parametrize("value", ARRAYS, ids=["list", "tuple", "0-d", "1-d", "2-d", "range", "empty", "empty-list"])
+def test_check_range_accepts_arrays_and_returns_them(value):
+    assert check_range(value, "p must lie in [0, 1]", 0.0, 1.0) is value
+
+
+@pytest.mark.parametrize(
+    "value,got",
+    [
+        ([0.5, NAN, 0.25], "nan"),
+        ((0.5, NAN, 0.25), "nan"),
+        (np.array([0.5, NAN, 0.25]), "nan"),
+        (np.array(NAN), "nan"),
+        (np.array([INF, 0.5]), "inf"),
+        (np.array([0.5, INF]), "inf"),
+        (np.array([-INF, 0.5]), "-inf"),
+        (np.array([0.5, -INF]), "-inf"),
+        ([1e308, -INF, INF], "-inf"),
+    ],
+)
+def test_check_range_refuses_non_finite_array_elements(value, got):
+    with pytest.raises(ValueError) as info:
+        check_range(value, "x must be finite")
+    assert str(info.value) == f"x must be finite, got {got}"
+
+
+def test_check_range_names_the_offending_extreme():
+    # the minimum is checked first, then the maximum, each as a float
+    for value, got in [
+        (np.array([0.5, 1.5, 0.25]), "1.5"),
+        ([0.5, -0.25, 0.75], "-0.25"),
+        ((-0.25, 1.5), "-0.25"),
+        (np.array([0, 2]), "2.0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            check_range(value, "p must lie in [0, 1]", 0.0, 1.0)
+        assert str(info.value) == f"p must lie in [0, 1], got {got}"
+    tiny = np.array([5e-324, 1.0])
+    assert check_range(tiny, "eta must be positive", math.ulp(0.0)) is tiny
+    with pytest.raises(ValueError, match=r"^eta must be positive, got 0\.0$"):
+        check_range(np.array([1.0, 0.0]), "eta must be positive", math.ulp(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +331,18 @@ def test_outcome_probability_reduces_huge_polarizer_angles(phi):
         )
     for got, want in zip(measurement_outcomes(LIGHT, 0.5, phi), measurement_outcomes(LIGHT, 0.5, reduced)):
         assert got.probability == pytest.approx(want.probability, abs=1e-12)
+
+
+def test_outcome_probability_of_edge_angles_equals_scalar_calls():
+    phis = np.array([-1e-300, -0.0, 2 * math.pi, 4 * math.pi, 1e308, INF, NAN])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for orientation in (PARALLEL, PERPENDICULAR):
+            got = outcome_probability(LIGHT, phis, orientation)
+            want = np.array([outcome_probability(LIGHT, phi, orientation) for phi in phis.tolist()])
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.isnan(got[-2:]).all() and np.isfinite(got[:-2]).all()
 
 
 # ---------------------------------------------------------------------------
