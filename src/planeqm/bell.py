@@ -29,7 +29,7 @@ from __future__ import annotations
 
 __all__ = [
     "BUILTIN_MODELS", "BellKind", "HiddenVariableModel", "InequalityReport", "ScanGrid",
-    "ScanPoint", "baby_bell_check", "bell_state", "classical_correlation", "from_kron_order",
+    "baby_bell_check", "bell_state", "classical_correlation", "from_kron_order",
     "joint_probabilities", "quantum_correlation", "sigma_tensor", "sign_cosine_model",
     "sign_projection_model", "sin_inequality", "singlet_correlation", "to_kron_order",
     "violation_scan",
@@ -38,7 +38,6 @@ __all__ = [
 import functools
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -344,21 +343,14 @@ def sin_inequality(zeta: float, eta: float) -> InequalityReport:
     return _report(float(lhs), float(rhs))
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    zeta: float
-    eta: float
-    report: InequalityReport
-
-
 @dataclass(frozen=True, eq=False)
-class ScanGrid(Sequence):
+class ScanGrid:
     """The bound evaluated over a zeta x eta grid, as read-only arrays.
 
     ``lhs``, ``violated`` and ``margin`` have shape (len(zetas), len(etas));
-    ``rhs`` depends on eta alone and has shape (len(etas),).  As a sequence
-    the grid yields one :class:`ScanPoint` per grid point, zeta-major, with
-    Python floats and bools, equal to :func:`sin_inequality` at that point.
+    ``rhs`` depends on eta alone and has shape (len(etas),).  The point
+    (zetas[i], etas[j]) has lhs[i, j], rhs[j], violated[i, j] and
+    margin[i, j], the values of :func:`sin_inequality` there.
     """
 
     zetas: np.ndarray
@@ -367,17 +359,6 @@ class ScanGrid(Sequence):
     rhs: np.ndarray
     violated: np.ndarray
     margin: np.ndarray
-
-    def __len__(self) -> int:
-        return self.lhs.size
-
-    def __getitem__(self, index):
-        flat = range(len(self))[index]
-        if isinstance(flat, range):
-            return [self[i] for i in flat]
-        i, j = divmod(flat, self.etas.size)
-        report = _report(float(self.lhs[i, j]), float(self.rhs[j]))
-        return ScanPoint(float(self.zetas[i]), float(self.etas[j]), report)
 
 
 def violation_scan(zeta_grid, eta_grid) -> ScanGrid:

@@ -20,6 +20,7 @@ made, so a command that fails there writes nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -68,20 +69,17 @@ def _emit(chunks, output: Optional[str]) -> None:
     """
     chunks = iter(chunks)
     chunks = itertools.chain((next(chunks),), chunks)
+    to_file = output is not None  # an empty path is a file name that cannot be opened, not stdout
     try:
-        if output:
-            with open(output, "w", encoding="utf-8") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
-        else:
+        with open(output, "w", encoding="utf-8") if to_file else contextlib.nullcontext(sys.stdout) as stream:
             for chunk in chunks:
-                sys.stdout.write(chunk)
+                stream.write(chunk)
             # a stand-in stream that only writes has nothing to flush
-            flush = getattr(sys.stdout, "flush", None)
+            flush = getattr(stream, "flush", None)
             if flush is not None:
                 flush()
     except OSError as exc:
-        raise _InputError(f"cannot write {output or 'stdout'}: {exc.strerror or exc}") from exc
+        raise _InputError(f"cannot write {output if to_file else 'stdout'}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(obj, output: Optional[str]) -> None:

@@ -42,7 +42,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .states import TWO_PI, DensityParams, check_count, check_range, density_matrix, wrap_orientation
+from .states import TWO_PI, DensityParams, _affine, check_count, check_range, density_matrix, wrap_orientation
 
 #: Default number of quadrature nodes for sampled functions.
 DEFAULT_SAMPLES = 1024
@@ -264,16 +264,10 @@ def quantize(
     # the family is pi-periodic in phi0: reduce it before doubling, so a huge offset stays finite
     phi0 = wrap_orientation(check_range(phi0, "orientation offset phi0 must be finite"))
     data = fourier_coefficients(f, n_samples).rotated(2.0 * phi0)
-    # mean * I + h * (cc * SIGMA3 + cs * SIGMA1) entry by entry, with the same
-    # floating-point operations (signed zeros included); Python floats
-    # overflow to inf or nan without a warning
-    mean, cc, cs, h = float(data.mean), float(data.cc), float(data.cs), 0.5 * float(r)
-    a11 = mean + h * (cc + cs * 0.0)
-    a22 = mean + h * (-cc + cs * 0.0)
-    a12 = mean * 0.0 + h * (cc * 0.0 + cs)
-    if not (math.isfinite(a11) and math.isfinite(a12) and math.isfinite(a22)):
+    matrix = _affine(float(data.mean), 0.5 * float(r), float(data.cc), float(data.cs))
+    if not all(map(math.isfinite, matrix.flat)):
         raise ValueError("quantized matrix is not finite")
-    return np.array([[a11, a12], [a12, a22]])
+    return matrix
 
 
 def identity_residual(r: float, phi0: float, n_samples: int = DEFAULT_SAMPLES) -> float:
@@ -327,7 +321,8 @@ def superposition_density(
     """
     check_range(r, "mixing degree r of the integrand family must lie in (0, 1]", math.ulp(0.0), 1.0)
     check_range(s, "target mixing degree s must lie in [0, 1]", 0.0, 1.0)
-    check_range(theta, "target orientation theta must be finite")
+    # reduced first, so that a huge theta does not swallow the node offsets p in theta + p
+    theta = wrap_orientation(check_range(theta, "target orientation theta must be finite"))
     n_samples = check_count(n_samples, "n_samples", MIN_SAMPLES)
     phis = _quadrature_grid(n_samples)
     acc = np.zeros((2, 2))

@@ -167,14 +167,27 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
+def _affine(mean: float, h: float, cc: float, cs: float) -> np.ndarray:
+    """mean * I + h * (cc * SIGMA3 + cs * SIGMA1), entry by entry.
+
+    The same floating-point operations as the matrix expression, signed
+    zeros included; Python floats overflow to inf or nan without a warning.
+    """
+    a12 = mean * 0.0 + h * (cc * 0.0 + cs)
+    return np.array([[mean + h * (cc + cs * 0.0), a12], [a12, mean + h * (-cc + cs * 0.0)]])
+
+
 def density_matrix(p: DensityParams) -> np.ndarray:
     """Materialize the density matrix of the (r, phi) family.
 
     rho = 1/2 I + (r/2) sigma(2*phi); equivalently the convex mixture
     (1+r)/2 * projector(phi) + (1-r)/2 * projector(phi + pi/2).
-    Symmetric, trace one, eigenvalues (1 +/- r)/2.
+    Symmetric, trace one, eigenvalues (1 +/- r)/2.  The orientation is
+    reduced mod pi before doubling, so every finite phi gives a finite
+    matrix; for phi in [0, pi) the value is bit-equal to the expression above.
     """
-    return 0.5 * np.eye(2) + 0.5 * p.r * sigma_phi(2.0 * p.phi)
+    phi2 = 2.0 * wrap_orientation(p.phi)
+    return _affine(0.5, 0.5 * p.r, math.cos(phi2), math.sin(phi2))
 
 
 def spectral_decompose(m: np.ndarray) -> DensityParams:

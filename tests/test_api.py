@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     "BUILTIN_MODELS", "BellKind", "BorelSet", "CircleFunction", "DECOMPOSE_TOL", "DOWN",
     "DensityParams", "DiracProfile", "FourierData", "FourierSeries", "HiddenVariableModel",
     "InequalityReport", "MeasurementOutcome", "PARALLEL", "PERPENDICULAR", "Quaternion", "SIGMA1",
-    "SIGMA3", "STRUCTURAL_TOL", "ScanGrid", "ScanPoint", "SuperpositionResult", "TAU2", "TWO_PI",
+    "SIGMA3", "STRUCTURAL_TOL", "ScanGrid", "SuperpositionResult", "TAU2", "TWO_PI",
     "UP", "baby_bell_check", "bell_basis_matrix", "bell_state", "cat", "classical_correlation",
     "coherent_state", "coherent_to_tensor", "commutator_e1_e2", "complex_from_coords",
     "complex_pair_to_quaternion", "complex_to_tensor", "conjugation", "d_half_matrix",
@@ -46,7 +46,7 @@ def _defined_names(module) -> set:
 
 
 def test_package_all_is_the_pinned_public_api():
-    assert len(planeqm.__all__) == len(set(planeqm.__all__)) == 78
+    assert len(planeqm.__all__) == len(set(planeqm.__all__)) == 77
     assert set(planeqm.__all__) == PUBLIC_NAMES
 
 

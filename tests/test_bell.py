@@ -1,7 +1,7 @@
+import itertools
 import math
 import re
 import tracemalloc
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -476,22 +476,21 @@ def test_sin_inequality_structure(zeta, eta):
 
 def test_violation_scan_diagonal_region():
     grid = np.arange(0, 91) * (math.pi / 180.0)  # [0, pi/2] in 1-degree steps
-    diagonal = [point for point in violation_scan(grid, grid) if point.zeta == point.eta]
-    violated = [point.eta for point in diagonal if point.report.violated]
+    violated = grid[np.diagonal(violation_scan(grid, grid).violated)]
     expected = [eta for eta in grid if 0.0 < eta < math.pi / 4 - 1e-12]
     assert_allclose(violated, expected, atol=0)
 
 
 def test_violation_scan_eta_right_angle_is_boundary():
-    point = violation_scan([math.pi / 2], [math.pi / 2])[0]
+    grid = violation_scan([math.pi / 2], [math.pi / 2])
     # reduces to |4 sin^2(eta) - 3| = 1 at the bound
-    assert point.report.lhs == pytest.approx(point.report.rhs, abs=1e-12)
-    assert not point.report.violated
+    assert grid.lhs[0, 0] == pytest.approx(grid.rhs[0], abs=1e-12)
+    assert not grid.violated[0, 0]
 
 
 def test_violation_scan_empty_high_angle_region():
     grid = np.linspace(math.pi / 3, math.pi / 2, 40)
-    assert not any(p.report.violated for p in violation_scan(grid, grid))
+    assert not violation_scan(grid, grid).violated.any()
 
 
 def test_violation_scan_rejects_empty_grids():
@@ -511,38 +510,28 @@ grid_axes = st.lists(angles, min_size=1, max_size=9)
 def test_violation_scan_matches_pointwise_bound(zetas, etas):
     assume(len(zetas) != len(etas))
     grid = violation_scan(zetas, etas)
-    assert len(grid) == len(zetas) * len(etas)
-    for k, point in enumerate(grid):
-        zeta, eta = zetas[k // len(etas)], etas[k % len(etas)]
-        assert (point.zeta, point.eta) == (zeta, eta)
+    assert grid.lhs.shape == (len(zetas), len(etas))
+    assert (grid.zetas.tolist(), grid.etas.tolist()) == (zetas, etas)
+    for (i, zeta), (j, eta) in itertools.product(enumerate(zetas), enumerate(etas)):
         report = sin_inequality(zeta, eta)
-        assert point.report == report
+        values = (report.lhs, report.rhs, report.violated, report.margin)
+        assert [type(v) for v in values] == [float, float, bool, float]
+        assert (grid.lhs[i, j], grid.rhs[j], grid.violated[i, j], grid.margin[i, j]) == values
         # independent of the shared kernel: the bound straight from math.sin
         expected = abs(math.sin(zeta) ** 2 - math.sin(eta + zeta) ** 2)
         assert report.lhs == pytest.approx(expected, abs=8 * np.finfo(float).eps)
         assert report.rhs == pytest.approx(math.sin(eta) ** 2, abs=8 * np.finfo(float).eps)
 
 
-def test_scan_grid_sequence_semantics():
+def test_scan_grid_is_read_only_arrays():
     zetas, etas = [0.1, 0.2, 0.3], [0.4, 0.5]
     grid = violation_scan(zetas, etas)
     assert isinstance(grid, ScanGrid)
-    assert isinstance(grid, Sequence)
+    assert not hasattr(grid, "__len__") and not hasattr(grid, "__getitem__")
+    assert (grid.zetas.tolist(), grid.etas.tolist()) == (zetas, etas)
     assert (grid.lhs.shape, grid.rhs.shape) == ((3, 2), (2,))
     assert grid.violated.shape == grid.margin.shape == (3, 2)
-    assert len(grid) == 6
-    assert [(p.zeta, p.eta) for p in grid] == [(z, e) for z in zetas for e in etas]
-    assert grid[-1] == grid[5]
-    assert grid[-6] == grid[0]
-    assert grid[1:3] == [grid[1], grid[2]]
-    for index in (6, -7):
-        with pytest.raises(IndexError):
-            grid[index]
-    point = grid[3]
-    assert (type(point.zeta), type(point.eta)) == (float, float)
-    report = point.report
-    assert [type(v) for v in (report.lhs, report.rhs, report.violated, report.margin)] == [
-        float, float, bool, float
-    ]
-    with pytest.raises(ValueError, match="read-only"):
-        grid.lhs[0, 0] = 0.0
+    assert (grid.lhs.dtype, grid.violated.dtype) == (np.float64, np.bool_)
+    for name in ("zetas", "etas", "lhs", "rhs", "violated", "margin"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, name).flat[0] = 0

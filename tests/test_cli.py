@@ -651,7 +651,7 @@ def test_bell_scan_summary_spans_blocks(capsys, fmt):
     grid = violation_scan(np.linspace(-1.0, 1.0, 201), np.linspace(-1.0, 1.0, 201))
     diagonal = grid.etas[np.diag(grid.violated)]
     interval = [float(diagonal.min()), float(diagonal.max())]
-    fraction = int(np.count_nonzero(grid.violated)) / len(grid)
+    fraction = int(np.count_nonzero(grid.violated)) / grid.violated.size
     assert 201 // (cli._SCAN_BLOCK_POINTS // 201) > 2
     if fmt == "json":
         payload = json.loads(out)
@@ -956,6 +956,24 @@ def test_failing_stdout_exits_2(capsys, monkeypatch):
     monkeypatch.undo()
     assert code == 2
     assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identity-check", "--r", "0.5"],
+        ["identity-check", "--r", "0.5", "--format", "csv"],
+        ["bell-scan", "--zeta-steps", "2", "--eta-steps", "2"],
+        ["iso-demo"],
+    ],
+    ids=["record-json", "record-csv", "table", "json"],
+)
+def test_empty_output_path_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # an empty path names no file; it does not mean stdout
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--output", "")
+    assert (code, out, err) == (2, "", "error: cannot write : No such file or directory\n")
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ RUNS = [
     (["coherent", "--theta", "1", "--phi", "0", "--seed", "1"], 2, None, starts_with("usage: planeqm coherent ")),
     (["frobnicate"], 2, None, starts_with("usage: planeqm [-h]")),
     (["--help"], 0, None, None),
+    # an empty --output is a file that cannot be opened, not stdout
+    (["identity-check", "--r", "0.5", "--output", ""], 2, equals(""), equals("error: cannot write : No such file or directory\n")),
 ]
 
 

@@ -120,6 +120,17 @@ def test_density_matrix_structure(r, phi):
     assert_allclose(rho, mixture, atol=1e-12)
 
 
+def test_density_matrix_is_the_reference_formula_on_canonical_orientations():
+    # bit-equal, signed zeros included, to 1/2 I + (r/2) sigma(2 phi) for phi in [0, pi)
+    rng = np.random.default_rng(20)
+    rs = [0.0, 5e-324, 1.0, *rng.uniform(0.0, 1.0, 60)]
+    phis = [0.0, -0.0, math.nextafter(math.pi, 0.0), *rng.uniform(0.0, math.pi, 60)]
+    for r in rs:
+        for phi in phis:
+            reference = 0.5 * np.eye(2) + 0.5 * r * sigma_phi(2.0 * phi)
+            assert density_matrix(DensityParams(r, phi)).tobytes() == reference.tobytes(), (r, phi)
+
+
 @given(mixings, angles)
 def test_density_matrix_orientation_period_pi(r, phi):
     same = density_matrix(DensityParams(r, phi + math.pi))

@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose
 
 from planeqm.bell import (
     baby_bell_check,
@@ -38,6 +39,7 @@ from planeqm.measurement import (
     DiracProfile,
     dirac_cumulative,
     evolution_operator,
+    evolve_joint,
     exp_projector,
     measurement_outcomes,
     outcome_probability,
@@ -52,7 +54,7 @@ from planeqm.quantization import (
     quantize,
     superposition_density,
 )
-from planeqm.states import DensityParams, check_range, rotation, spectral_decompose
+from planeqm.states import DensityParams, check_range, density_matrix, rotation, spectral_decompose, wrap_orientation
 
 NAN, INF = math.nan, math.inf
 SERIES = FourierSeries.harmonic(2, ak=1.0)
@@ -268,9 +270,40 @@ def test_overflowing_angle_sum_is_refused(call):
 
 def test_huge_finite_angles_are_accepted():
     assert sin_inequality(1e308, -1e308).rhs >= 0.0
-    assert len(violation_scan([1e308, -1e308], [0.5])) == 2
+    assert violation_scan([1e308, -1e308], [0.5]).lhs.shape == (2, 1)
     assert DensityParams(1.0, -1e308).phi == -1e308
     assert coherent_to_tensor(1.0, 1e308).shape == (4,)
+
+
+HUGE_ORIENTATION_CALLS = {
+    "density_matrix": lambda phi: density_matrix(DensityParams(0.5, phi)),
+    "evolve_joint": lambda phi: evolve_joint(DensityParams(0.5, phi), DensityParams(0.7, phi), 0.5, 0.3),
+    "superposition_density": lambda phi: superposition_density(0.3, phi, 0.8, 8).matrix,
+}
+
+
+@pytest.mark.parametrize("phi", [1e308, -1e308, 9e307])
+@pytest.mark.parametrize("call", HUGE_ORIENTATION_CALLS.values(), ids=HUGE_ORIENTATION_CALLS)
+def test_huge_finite_orientations_give_a_density(call, phi):
+    # 2 * phi overflows: the orientation is reduced mod pi before it is doubled
+    m = call(phi)
+    assert np.isfinite(m).all()
+    assert_allclose(m, m.T, atol=1e-15)
+    assert np.trace(m) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi", [1e308, -1e308, 5e307])
+@pytest.mark.parametrize("call", [HUGE_ORIENTATION_CALLS["density_matrix"], HUGE_ORIENTATION_CALLS["evolve_joint"]],
+                         ids=["density_matrix", "evolve_joint"])
+def test_huge_orientation_is_reduced_mod_pi(call, phi):
+    assert np.array_equal(call(phi), call(wrap_orientation(phi)))
+
+
+@pytest.mark.parametrize("theta", [1e308, -1e308, 5e307, 1e17])
+def test_superposition_of_a_huge_orientation_is_its_density(theta):
+    # theta + p must not round to theta for the node offsets p
+    got = superposition_density(0.3, theta, 0.8, 64).matrix
+    assert_allclose(got, density_matrix(DensityParams(0.3, theta)), atol=1e-12)
 
 
 # The checks that compare against a tolerance are written "not x <= tol",
