@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import TWO_PI, _kron, check_count, check_range, pure_state, sigma_phi
+from .states import TWO_PI, _kron, check_count, check_range, pure_state, sigma_phi, wrap_state_angle
 
 #: Diagonal-first component i sits at Kronecker (lexicographic) slot _PERM[i].
 _PERM = np.array([0, 3, 1, 2])
@@ -128,9 +128,12 @@ def joint_probabilities(
     overlaps with the product eigenvectors of sigma(phi_a) (x) sigma(phi_b)
     (the +1 eigenvector of sigma(phi) is the pure state at phi/2); they sum
     to one, and the signed sum reproduces the quantum correlation for the
-    singlet.
+    singlet.  A non-finite angle is refused with ValueError.
     """
     psi = bell_state(kind)
+    # sigma(phi) is 2 pi-periodic: reduce each angle before adding the half turn, so the offset is kept
+    phi_a = wrap_state_angle(check_range(phi_a, "angle phi_a must be finite"))
+    phi_b = wrap_state_angle(check_range(phi_b, "angle phi_b must be finite"))
     eig_a = {1: pure_state(phi_a / 2.0), -1: pure_state((phi_a + math.pi) / 2.0)}
     eig_b = {1: pure_state(phi_b / 2.0), -1: pure_state((phi_b + math.pi) / 2.0)}
     table: dict[tuple[int, int], float] = {}

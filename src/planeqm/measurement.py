@@ -107,7 +107,8 @@ def evolution_operator(g_value: float, r: float, phi: float) -> np.ndarray:
     """
     check_range(g_value, "cumulative weight G must lie in [0, 1]", 0.0, 1.0)
     check_range(r, "degree of mixing r must lie in [0, 1]", 0.0, 1.0)
-    check_range(phi, "orientation phi must be finite")
+    # the projectors are pi-periodic: reduce phi before adding the quarter turn, so the offset is kept
+    phi = wrap_orientation(check_range(phi, "orientation phi must be finite"))
     e_par, e_perp = projector(phi), projector(phi + 0.5 * math.pi)
     return _rotate_on(g_value * (1.0 + r) / 2.0, e_par, g_value * (1.0 - r) / 2.0, e_perp)
 

@@ -42,7 +42,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .states import TWO_PI, DensityParams, _affine, check_count, check_range, density_matrix, wrap_orientation
+from .states import (
+    TWO_PI, DensityParams, _affine, check_count, check_range, density_matrix, wrap_orientation, wrap_state_angle,
+)
 
 #: Default number of quadrature nodes for sampled functions.
 DEFAULT_SAMPLES = 1024
@@ -108,7 +110,12 @@ class FourierSeries:
         return 0.0, 0.0
 
     def shifted(self, delta: float) -> "FourierSeries":
-        """The translated series phi -> f(phi - delta), again in closed form."""
+        """The translated series phi -> f(phi - delta), again in closed form.
+
+        The harmonics are integers, so ``delta`` is reduced mod 2*pi before
+        it is multiplied by them; a huge finite shift keeps its phases.
+        """
+        delta = wrap_state_angle(check_range(delta, "shift delta must be finite"))
         return FourierSeries(self.a0, tuple((k, *_rotate(ak, bk, k * delta)) for k, ak, bk in self.terms))
 
 

@@ -83,7 +83,14 @@ def check_count(value, name: str, lo: int = 1, hi: float = math.inf) -> int:
 
 
 def _wrap(phi, period: float):
-    """``phi`` mod ``period`` in [0, period), elementwise in float64: ``np.mod`` is bit-equal to float ``%``."""
+    """``phi`` mod ``period`` in [0, period), elementwise in float64: ``np.mod`` is bit-equal to float ``%``.
+
+    A Python float or int (``np.float64`` and ``bool`` included) is reduced
+    with float ``%`` itself, which costs a fraction of numpy's scalar call.
+    """
+    if isinstance(phi, (float, int)):
+        wrapped = float(phi) % period
+        return 0.0 if wrapped == period else wrapped
     with np.errstate(invalid="ignore"):  # a non-finite angle wraps to NaN, as with %
         wrapped = np.mod(phi, period, dtype=float)
     # a tiny negative input can round the modulo up to the period itself
@@ -229,7 +236,8 @@ def tau2_conjugate(p: DensityParams) -> DensityParams:
     """Conjugation of rho(r, phi) by the quarter-turn generator TAU2.
 
     TAU2 rho TAU2^-1 = rho(r, phi + pi/2): the orientation rotates by a
-    quarter turn while the mixing degree is untouched.  The returned
-    orientation is canonical in [0, pi).
+    quarter turn while the mixing degree is untouched.  The orientation is
+    reduced mod pi before the quarter turn is added, so a huge phi keeps
+    it; the returned orientation is canonical in [0, pi).
     """
-    return DensityParams(p.r, wrap_orientation(p.phi + 0.5 * math.pi))
+    return DensityParams(p.r, wrap_orientation(wrap_orientation(p.phi) + 0.5 * math.pi))

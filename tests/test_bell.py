@@ -117,13 +117,15 @@ def test_kron_call_sites_are_bit_equal_to_numpy_kron():
     for a, b in zip(angles, rng.permutation(angles)):
         assert _same_bits(sigma_tensor(a, b), from_kron_order(np.kron(sigma_phi(a), sigma_phi(b))))
         psi = bell_state(BellKind.PSI_MINUS)
+        # joint_probabilities reduces its angles mod 2 pi before it halves them
         amps = {
-            (ea, eb): float(from_kron_order(np.kron(ua(a), ub(b))) @ psi)
+            (ea, eb): float(from_kron_order(np.kron(ua(a % TWO_PI), ub(b % TWO_PI))) @ psi)
             for ea, ua in eigenvectors.items() for eb, ub in eigenvectors.items()
         }
         assert joint_probabilities(BellKind.PSI_MINUS, a, b) == {key: amp * amp for key, amp in amps.items()}
     for g, r, phi in rng.uniform([0.0, 0.0, -10.0], [1.0, 1.0, 10.0], (200, 3)):
-        e_par, e_perp = projector(phi), projector(phi + 0.5 * math.pi)
+        # evolution_operator reduces phi mod pi before it adds the quarter turn
+        e_par, e_perp = projector(phi % math.pi), projector(phi % math.pi + 0.5 * math.pi)
         want = np.kron(rotation(g * (1.0 + r) / 2.0), e_par) + np.kron(rotation(g * (1.0 - r) / 2.0), e_perp)
         assert _same_bits(evolution_operator(g, r, phi), want)
 

@@ -234,4 +234,16 @@ def test_angle_wraps_are_float_modulo_elementwise(wrap, period):
     scalars = [wrap(x) for x in values.tolist()]
     assert {type(x) for x in scalars} == {float} and _same_bits(np.array(scalars), want)
     assert _same_bits(wrap(values.tolist()), want)
+    # every other scalar input: float % takes Python numbers and np.float64, np.mod the rest
+    with np.errstate(over="ignore"):  # 1e308 casts to inf
+        float32s = values[:200].astype(np.float32)
+    others = [
+        *(np.float64(x) for x in values[:200]), *(np.array(x) for x in values[:200]), *float32s,
+        0, 7, -7, 2**63, -(2**63) - 1, 10**308, -(10**308), True, False,
+    ]
+    got = [wrap(x) for x in others]
+    assert {type(x) for x in got} == {float}
+    assert _same_bits(np.array(got), np.array([_float_wrap(float(x), period) for x in others]))
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        wrap(10**400)
 

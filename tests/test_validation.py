@@ -21,10 +21,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from planeqm.bell import (
+    BellKind,
+    _uniform_density,
     baby_bell_check,
     check_angle_sums,
     classical_correlation,
     HiddenVariableModel,
+    joint_probabilities,
     quantum_correlation,
     sign_cosine_model,
     singlet_correlation,
@@ -54,7 +57,10 @@ from planeqm.quantization import (
     quantize,
     superposition_density,
 )
-from planeqm.states import DensityParams, check_range, density_matrix, rotation, spectral_decompose, wrap_orientation
+from planeqm.states import (
+    SIGMA3, TAU2, TWO_PI, DensityParams, check_range, density_matrix, projector, rotation, spectral_decompose,
+    tau2_conjugate, wrap_orientation,
+)
 
 NAN, INF = math.nan, math.inf
 SERIES = FourierSeries.harmonic(2, ak=1.0)
@@ -166,6 +172,9 @@ CALLS = {
     "evolution_operator.g_value": lambda x: evolution_operator(x, 0.5, 0.0),
     "evolution_operator.r": lambda x: evolution_operator(0.5, x, 0.0),
     "evolution_operator.phi": lambda x: evolution_operator(0.5, 0.5, x),
+    "joint_probabilities.phi_a": lambda x: joint_probabilities(BellKind.PSI_MINUS, x, 0.0),
+    "joint_probabilities.phi_b": lambda x: joint_probabilities(BellKind.PSI_MINUS, 0.0, x),
+    "FourierSeries.shifted.delta": lambda x: SERIES.shifted(x),
     "measurement_outcomes.interaction_r": lambda x: measurement_outcomes(LIGHT, x, 0.0),
     "measurement_outcomes.interaction_phi": lambda x: measurement_outcomes(LIGHT, 0.5, x),
     "sample_outcomes.p_parallel": lambda x: sample_outcomes(x, 10, 0),
@@ -304,6 +313,96 @@ def test_superposition_of_a_huge_orientation_is_its_density(theta):
     # theta + p must not round to theta for the node offsets p
     got = superposition_density(0.3, theta, 0.8, 64).matrix
     assert_allclose(got, density_matrix(DensityParams(0.3, theta)), atol=1e-12)
+
+
+# An angle plus an offset: each function reduces the angle first, with its own period
+# (pi for projectors and orientations, 2 pi for sigma(phi) and for a shift of integer
+# harmonics), so the sum keeps the offset however large the angle.
+
+OFFSET_SERIES = FourierSeries(0.25, ((1, 0.5, -0.25), (2, 1.0, 0.5), (3, -0.75, 0.125)))
+
+
+def _offset_identity_errors(phi: float, d: float) -> dict:
+    """Each offset site's identity error at angle phi, with d a moderate second offset."""
+    u = evolution_operator(0.7, 0.4, phi)
+    joint = evolve_joint(DensityParams(0.5, phi), DensityParams(0.8, phi + d), 0.4, phi)
+    table = joint_probabilities(BellKind.PSI_MINUS, phi, phi + d)
+    params = DensityParams(0.6, phi)
+    shifted = OFFSET_SERIES.shifted(phi)
+    x = np.linspace(0.0, TWO_PI, 9)
+    return {
+        "evolution_operator": np.abs(u @ u.T - np.eye(4)).max(),
+        "evolve_joint": abs(np.trace(joint) - 1.0),
+        # (phi + d) - phi is exact for |d| < |phi| (Sterbenz), so -cos of it is the exact reference
+        "joint_probabilities": abs(sum(ea * eb * p for (ea, eb), p in table.items()) + math.cos((phi + d) - phi)),
+        "tau2_conjugate": np.abs(TAU2 @ density_matrix(params) @ TAU2.T - density_matrix(tau2_conjugate(params))).max(),
+        "FourierSeries.shifted": np.abs(shifted(x) - OFFSET_SERIES(x - phi % TWO_PI)).max(),
+    }
+
+
+def _offset_calls(phi: float) -> dict:
+    """Each offset site's result at phi, as bytes, and the period it reduces phi by."""
+    return {
+        "evolution_operator": (math.pi, evolution_operator(0.7, 0.4, phi).tobytes()),
+        "evolve_joint": (
+            math.pi, evolve_joint(DensityParams(0.5, phi), DensityParams(0.8, phi), 0.4, phi).tobytes(),
+        ),
+        "joint_probabilities": (TWO_PI, repr(joint_probabilities(BellKind.PSI_MINUS, phi, phi))),
+        "tau2_conjugate": (math.pi, repr(tau2_conjugate(DensityParams(0.6, phi)))),
+        "FourierSeries.shifted": (TWO_PI, repr(OFFSET_SERIES.shifted(phi))),
+    }
+
+
+@pytest.mark.parametrize("magnitude", [1e2, 1e4, 1e8, 1e12, 1e17, 1e100, 1e308])
+def test_offsets_are_added_to_the_reduced_angle(magnitude):
+    rng = np.random.default_rng(int(math.log10(magnitude)))
+    for phi, d in zip(rng.choice([-1.0, 1.0], 12) * magnitude * rng.uniform(1.0, 1.7, 12), rng.uniform(-3.0, 3.0, 12)):
+        phi, d = float(phi), float(d)
+        for name, (period, got) in _offset_calls(phi).items():
+            assert got == _offset_calls(phi % period)[name][1], (name, phi)
+        for name, error in _offset_identity_errors(phi, d).items():
+            assert error <= 1e-12, (name, phi, error)
+
+
+# Documented thresholds: one input just inside each, one just outside.
+
+
+def test_violation_tolerance_flags_a_gap_of_1e_10_but_not_1e_13():
+    assert baby_bell_check(0.5, -0.5, -1e-10).violated
+    assert not baby_bell_check(0.5, -0.5, -1e-13).violated
+
+
+def test_registration_refuses_a_density_off_by_1e_8():
+    epsilon = sign_cosine_model().epsilon
+    HiddenVariableModel(epsilon=epsilon, density=lambda lam: np.full(np.shape(lam), (1.0 + 1e-11) / TWO_PI))
+    with pytest.raises(ValueError, match="integrates to 1.00000001"):
+        HiddenVariableModel(epsilon=epsilon, density=lambda lam: np.full(np.shape(lam), (1.0 + 1e-8) / TWO_PI))
+
+
+def test_registration_probes_the_outcomes_on_64_midpoints():
+    # the first of 64 midpoints of [0, 2 pi) is 0.049; the first of 8 would be 0.39
+    sign = sign_cosine_model().epsilon
+    with pytest.raises(ValueError, match="epsilon must take values in"):
+        HiddenVariableModel(epsilon=lambda phi, lam: np.where(lam < 0.1, 0.5, sign(phi, lam)), density=_uniform_density)
+
+
+def test_exp_projector_refuses_an_asymmetry_of_1e_8():
+    p = projector(0.3)
+    assert np.isfinite(exp_projector(0.4, p + [[0.0, 1e-12], [0.0, 0.0]])).all()
+    with pytest.raises(ValueError, match="symmetric"):
+        exp_projector(0.4, p + [[0.0, 1e-8], [0.0, 0.0]])
+
+
+def test_spectral_decompose_refuses_a_mixing_degree_of_1_plus_1e_8():
+    assert spectral_decompose(0.5 * np.eye(2) + 0.5 * (1.0 + 1e-10) * SIGMA3) == DensityParams(1.0, 0.0)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        spectral_decompose(0.5 * np.eye(2) + 0.5 * (1.0 + 1e-8) * SIGMA3)
+
+
+def test_spectral_decompose_keeps_the_orientation_of_r_5e_11():
+    kept = spectral_decompose(density_matrix(DensityParams(5e-11, 0.3)))
+    assert kept.r == pytest.approx(5e-11, rel=1e-4) and kept.phi == pytest.approx(0.3, abs=1e-4)
+    assert spectral_decompose(density_matrix(DensityParams(5e-13, 0.3))) == DensityParams(0.0, 0.0)
 
 
 # The checks that compare against a tolerance are written "not x <= tol",
